@@ -261,13 +261,16 @@ int dpz_chunked_decompress_double(const unsigned char* container,
                                   size_t* out_count,
                                   dpz_decode_report* report);
 
-/* Reads the shape from an archive header. `dims` must hold at least 4
- * entries; *rank receives the actual rank. */
+/* Reads the shape of an archive. Like dpz_inspect it parses the whole
+ * archive, so a header-only prefix, a truncated archive or trailing bytes
+ * are rejected as malformed. `dims` must hold at least 4 entries; *rank
+ * receives the actual rank. */
 int dpz_archive_shape(const unsigned char* archive, size_t archive_size,
                       size_t* dims, size_t* rank);
 
 /* 1 if the archive holds double-precision data, 0 for single, negative
- * error code on a malformed archive. */
+ * error code on a malformed archive (the whole archive is required, as
+ * for dpz_archive_shape). */
 int dpz_archive_is_double(const unsigned char* archive,
                           size_t archive_size);
 

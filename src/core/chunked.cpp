@@ -20,24 +20,7 @@ namespace dpz {
 
 namespace {
 
-struct ContainerHeader {
-  std::uint8_t version = detail::kFormatVersionLegacy;
-  std::vector<std::size_t> shape;
-  std::size_t total = 0;
-  std::size_t chunk_values = 0;
-  std::size_t frame_count = 0;
-  std::vector<std::uint64_t> frame_offsets;  // relative to frame area
-  std::vector<std::uint64_t> frame_sizes;
-  std::vector<std::uint32_t> frame_crcs;  // empty for v1 containers
-  std::size_t frames_begin = 0;  // byte offset of the frame area
-  // v3 parity geometry; parity_m == 0 when the container carries none.
-  std::size_t parity_k = 0;
-  std::size_t parity_m = 0;
-  std::vector<std::uint64_t> shard_sizes;     // per group
-  std::vector<std::uint64_t> parity_offsets;  // per group, in parity area
-  std::vector<std::uint32_t> parity_crcs;     // group-major, m per group
-  std::size_t parity_begin = 0;  // byte offset of the parity area
-};
+using detail::ContainerHeader;
 
 // Number of frames the compressor emits for (total, chunk_values): one
 // per full chunk, the tail merged into the previous frame when it would
@@ -51,12 +34,6 @@ std::size_t expected_frame_count(std::size_t total,
   return n;
 }
 
-// Parity groups the geometry implies (0 when the container has none).
-std::size_t parity_group_count(const ContainerHeader& h) {
-  return h.parity_m == 0 ? 0
-                         : (h.frame_count + h.parity_k - 1) / h.parity_k;
-}
-
 // Flat value range frame `f` covers. Well-defined once the frame count
 // matches expected_frame_count: every frame holds chunk_values values
 // except the last, which runs to the end of the data.
@@ -68,138 +45,11 @@ std::pair<std::size_t, std::size_t> frame_slot(const ContainerHeader& h,
   return {begin, end};
 }
 
+// Parses and validates the container header (detail::parse_container).
 ContainerHeader parse_header(std::span<const std::uint8_t> container) {
-  ByteReader r(container);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != detail::kChunkedMagicV1 &&
-      magic != detail::kChunkedMagicV2 && magic != detail::kChunkedMagicV3)
-    throw FormatError("not a chunked DPZ container");
-
   ContainerHeader h;
-  if (magic == detail::kChunkedMagicV2) {
-    h.version = r.get_u8();
-    if (h.version != detail::kFormatVersion)
-      throw FormatError("unsupported chunked container version");
-  } else if (magic == detail::kChunkedMagicV3) {
-    h.version = r.get_u8();
-    if (h.version != detail::kChunkedFormatVersion3)
-      throw FormatError("unsupported chunked container version");
-  }
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4)
-    throw FormatError("chunked container: bad rank");
-  h.shape.resize(rank);
-  h.total = 1;
-  for (auto& d : h.shape) {
-    d = static_cast<std::size_t>(r.get_u64());
-    if (d == 0 || d > (1ULL << 40))
-      throw FormatError("chunked container: implausible extent");
-    h.total *= d;
-    if (h.total > (1ULL << 40))
-      throw FormatError("chunked container: implausible total");
-  }
-  h.chunk_values = static_cast<std::size_t>(r.get_u64());
-  h.frame_count = static_cast<std::size_t>(r.get_u64());
-  // The chunk geometry fully determines the frame count, so demand the
-  // exact value instead of a plausibility envelope: best-effort recovery
-  // needs every frame's slot to be computable from the header alone.
-  if (h.chunk_values < 8 || h.chunk_values > (1ULL << 40) ||
-      h.frame_count != expected_frame_count(h.total, h.chunk_values))
-    throw FormatError("chunked container: inconsistent chunking");
-
-  h.frame_offsets.resize(h.frame_count);
-  h.frame_sizes.resize(h.frame_count);
-  if (h.version >= detail::kFormatVersion)
-    h.frame_crcs.resize(h.frame_count);
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    h.frame_offsets[f] = r.get_u64();
-    h.frame_sizes[f] = r.get_u64();
-    if (h.version >= detail::kFormatVersion) h.frame_crcs[f] = r.get_u32();
-  }
-  // v3 appends the parity geometry after the frame table (still inside
-  // the sealed header): k, m, then per group its shard size and the
-  // CRC32C of each of its m parity shards.
-  std::uint64_t parity_bytes = 0;
-  if (h.version >= detail::kChunkedFormatVersion3) {
-    h.parity_k = r.get_u8();
-    h.parity_m = r.get_u8();
-    if (h.parity_k < 1 || h.parity_m < 1 ||
-        h.parity_k + h.parity_m > 255)
-      throw FormatError("chunked container: bad parity geometry");
-    const std::size_t groups = parity_group_count(h);
-    // Each group's table entry needs at least 8 bytes, so a claimed
-    // group count beyond the remaining input is forged — reject before
-    // sizing the tables off it.
-    if (groups > r.remaining() / 8)
-      throw FormatError("chunked container: bad parity geometry");
-    h.shard_sizes.resize(groups);
-    h.parity_offsets.resize(groups);
-    h.parity_crcs.resize(groups * h.parity_m);
-    for (std::size_t g = 0; g < groups; ++g) {
-      h.parity_offsets[g] = parity_bytes;
-      h.shard_sizes[g] = r.get_u64();
-      if (h.shard_sizes[g] > (1ULL << 40))
-        throw FormatError("chunked container: implausible parity shard");
-      // Shard sizes are archive data: the running total must not wrap
-      // 64 bits, or the parity-vs-container bound below checks a
-      // wrapped sum and shard reads go out of bounds.
-      const std::uint64_t group_bytes =
-          static_cast<std::uint64_t>(h.parity_m) * h.shard_sizes[g];
-      if (group_bytes > UINT64_MAX - parity_bytes)
-        throw FormatError("chunked container: parity exceeds the container");
-      parity_bytes += group_bytes;
-      for (std::size_t j = 0; j < h.parity_m; ++j)
-        h.parity_crcs[g * h.parity_m + j] = r.get_u32();
-    }
-  }
-  // v2+ seals everything up to here — fields *and* tables — so a
-  // flipped table byte is caught before any frame bytes are touched.
-  if (h.version >= detail::kFormatVersion)
-    detail::check_header_crc(r, container, "chunked container");
-  h.frames_begin = r.position();
-
-  // Frame table sanity: contiguous, in-bounds frames. Sizes are archive
-  // data, so accumulate against the actual frame-area size instead of
-  // trusting the sum not to wrap 64 bits. For v3 the frame area stops
-  // where the parity area starts.
-  const std::uint64_t tail = container.size() - h.frames_begin;
-  if (parity_bytes > tail)
-    throw FormatError("chunked container: parity exceeds the container");
-  const std::uint64_t frame_area = tail - parity_bytes;
-  std::uint64_t expected = 0;
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    if (h.frame_offsets[f] != expected)
-      throw FormatError("chunked container: non-contiguous frame table");
-    if (h.frame_sizes[f] > frame_area - expected)
-      throw FormatError("chunked container: frame exceeds the container");
-    expected += h.frame_sizes[f];
-  }
-  if (expected != frame_area)
-    throw FormatError("chunked container: frame area size mismatch");
-  h.parity_begin = h.frames_begin + static_cast<std::size_t>(frame_area);
-  // Every frame must fit its group's shard (parity runs over
-  // zero-padded payloads, so a shorter shard cannot cover the frame).
-  for (std::size_t f = 0; f < h.frame_count && h.parity_m != 0; ++f)
-    if (h.frame_sizes[f] > h.shard_sizes[f / h.parity_k])
-      throw FormatError("chunked container: frame exceeds its parity shard");
+  detail::parse_container(container, h);
   return h;
-}
-
-std::span<const std::uint8_t> frame_bytes(
-    std::span<const std::uint8_t> container, const ContainerHeader& h,
-    std::size_t f) {
-  return container.subspan(
-      h.frames_begin + static_cast<std::size_t>(h.frame_offsets[f]),
-      static_cast<std::size_t>(h.frame_sizes[f]));
-}
-
-std::span<const std::uint8_t> parity_shard_bytes(
-    std::span<const std::uint8_t> container, const ContainerHeader& h,
-    std::size_t g, std::size_t j) {
-  return container.subspan(
-      h.parity_begin + static_cast<std::size_t>(h.parity_offsets[g]) +
-          j * static_cast<std::size_t>(h.shard_sizes[g]),
-      static_cast<std::size_t>(h.shard_sizes[g]));
 }
 
 // v2 per-frame integrity: the frame's CRC32C must pass before its bytes
@@ -271,7 +121,7 @@ std::vector<std::vector<std::uint8_t>> padded_group_shards(
     padded[i].assign(shard_size, 0);
     const std::size_t f = g * h.parity_k + i;
     if (f >= h.frame_count) continue;
-    const std::span<const std::uint8_t> frame = frame_bytes(container, h, f);
+    const std::span<const std::uint8_t> frame = h.frame(container, f);
     std::copy(frame.begin(), frame.end(), padded[i].begin());
   }
   return padded;
@@ -308,7 +158,7 @@ RepairPlan attempt_repairs(std::span<const std::uint8_t> container,
   plan.repaired.assign(h.frame_count, 0);
   plan.unrecovered.assign(h.frame_count, 0);
   const ecc::RsCodec codec(h.parity_k, h.parity_m);
-  const std::size_t groups = parity_group_count(h);
+  const std::size_t groups = h.groups();
   for (std::size_t g = 0; g < groups; ++g) {
     const std::size_t first = g * h.parity_k;
     const std::size_t last =
@@ -334,7 +184,7 @@ RepairPlan attempt_repairs(std::span<const std::uint8_t> container,
     // Parity shards vouch for themselves through the header-sealed
     // CRCs: a damaged shard is simply absent from the reconstruction.
     for (std::size_t j = 0; j < h.parity_m; ++j) {
-      const auto shard = parity_shard_bytes(container, h, g, j);
+      const auto shard = h.parity_shard(container, g, j);
       if (crc32c(shard) != h.parity_crcs[g * h.parity_m + j]) continue;
       shards[h.parity_k + j] = shard;
       present[h.parity_k + j] = 1;
@@ -383,6 +233,31 @@ RepairPlan attempt_repairs(std::span<const std::uint8_t> container,
   return plan;
 }
 
+// CRC sweeps over every frame and every parity shard (group-major): 1
+// marks a unit whose bytes fail the header-sealed checksum.
+std::vector<std::uint8_t> damaged_frames(
+    std::span<const std::uint8_t> container, const ContainerHeader& h) {
+  std::vector<std::uint8_t> damaged(h.frame_count, 0);
+  for (std::size_t f = 0; f < h.frame_count; ++f)
+    damaged[f] = frame_crc_ok(h.frame(container, f), h, f) ? 0 : 1;
+  return damaged;
+}
+
+std::vector<std::uint8_t> damaged_shards(
+    std::span<const std::uint8_t> container, const ContainerHeader& h) {
+  std::vector<std::uint8_t> damaged(h.parity_crcs.size(), 0);
+  for (std::size_t i = 0; i < damaged.size(); ++i)
+    damaged[i] = crc32c(h.parity_shard(container, i / h.parity_m,
+                                       i % h.parity_m)) == h.parity_crcs[i]
+                     ? 0
+                     : 1;
+  return damaged;
+}
+
+bool any_set(const std::vector<std::uint8_t>& flags) {
+  return std::find(flags.begin(), flags.end(), 1) != flags.end();
+}
+
 // CRC-scans every frame and, when the container carries parity and any
 // frame is damaged, attempts reconstruction. The returned plan is empty
 // for parity-less containers (callers then keep the classic per-frame
@@ -391,13 +266,8 @@ RepairPlan scan_and_repair(std::span<const std::uint8_t> container,
                            const ContainerHeader& h) {
   RepairPlan plan;
   if (h.parity_m == 0) return plan;
-  std::vector<std::uint8_t> damaged(h.frame_count, 0);
-  bool any = false;
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    damaged[f] = frame_crc_ok(frame_bytes(container, h, f), h, f) ? 0 : 1;
-    any |= damaged[f] != 0;
-  }
-  if (!any) {
+  const std::vector<std::uint8_t> damaged = damaged_frames(container, h);
+  if (!any_set(damaged)) {
     plan.repaired.assign(h.frame_count, 0);
     plan.unrecovered.assign(h.frame_count, 0);
     plan.replacement.resize(h.frame_count);
@@ -412,7 +282,7 @@ std::span<const std::uint8_t> frame_view(
     std::span<const std::uint8_t> container, const ContainerHeader& h,
     const RepairPlan& plan, std::size_t f) {
   if (plan.frame_repaired(f)) return plan.replacement[f];
-  return frame_bytes(container, h, f);
+  return h.frame(container, f);
 }
 
 void fill_repair_report(const RepairPlan& plan, DecodeReport* report) {
@@ -451,7 +321,16 @@ NdArray<T> decompress_strict(std::span<const std::uint8_t> container,
   // find out afterwards that they exceed the claimed shape.
   std::size_t claimed = 0;
   for (std::size_t f = 0; f < h.frame_count; ++f) {
-    const DpzArchiveInfo info = dpz_inspect(frame_view(container, h, plan, f));
+    const auto frame = frame_view(container, h, plan, f);
+    DpzArchiveInfo info;
+    try {
+      info = dpz_inspect(frame);
+    } catch (const FormatError&) {
+      // A frame that fails to parse reports as the checksum failure it
+      // is when its bytes are damaged, not as whatever they tear into.
+      if (!prescanned) check_frame_crc(frame, h, f);
+      throw;
+    }
     std::size_t count = 1;
     for (const std::size_t d : info.shape) count *= d;
     if (count > h.total - claimed)
@@ -765,7 +644,7 @@ ChunkView chunked_decompress_frame(std::span<const std::uint8_t> container,
   const ContainerHeader h = parse_header(container);
   DPZ_REQUIRE(frame_index < h.frame_count, "frame index out of range");
 
-  std::span<const std::uint8_t> frame = frame_bytes(container, h, frame_index);
+  std::span<const std::uint8_t> frame = h.frame(container, frame_index);
   std::vector<std::uint8_t> rebuilt;
   if (!frame_crc_ok(frame, h, frame_index)) {
     // Same self-healing contract as whole-container decode: a damaged
@@ -784,7 +663,7 @@ ChunkView chunked_decompress_frame(std::span<const std::uint8_t> container,
     const std::size_t last = std::min(first + h.parity_k, h.frame_count);
     for (std::size_t f = first; f < last; ++f)
       if (f != frame_index)
-        damaged[f] = frame_crc_ok(frame_bytes(container, h, f), h, f) ? 0 : 1;
+        damaged[f] = frame_crc_ok(h.frame(container, f), h, f) ? 0 : 1;
     RepairPlan plan = attempt_repairs(container, h, damaged);
     if (!plan.frame_repaired(frame_index)) {
       obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
@@ -820,24 +699,12 @@ std::vector<std::uint8_t> chunked_repair(
   rep = RepairReport{};
   rep.frames_total = h.frame_count;
 
-  std::vector<std::uint8_t> damaged(h.frame_count, 0);
-  bool any_frame = false;
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    damaged[f] = frame_crc_ok(frame_bytes(container, h, f), h, f) ? 0 : 1;
-    any_frame |= damaged[f] != 0;
-  }
-  const std::size_t groups = parity_group_count(h);
-  std::vector<std::uint8_t> shard_damaged(groups * h.parity_m, 0);
-  bool any_parity = false;
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t j = 0; j < h.parity_m; ++j) {
-      if (crc32c(parity_shard_bytes(container, h, g, j)) ==
-          h.parity_crcs[g * h.parity_m + j])
-        continue;
-      shard_damaged[g * h.parity_m + j] = 1;
-      any_parity = true;
-    }
-  }
+  const std::vector<std::uint8_t> damaged = damaged_frames(container, h);
+  const std::vector<std::uint8_t> shard_damaged =
+      damaged_shards(container, h);
+  const bool any_frame = any_set(damaged);
+  const bool any_parity = any_set(shard_damaged);
+  const std::size_t groups = h.groups();
   if (!any_frame && !any_parity)
     return {container.begin(), container.end()};
   if (h.parity_m == 0) {
@@ -924,26 +791,16 @@ ScrubReport chunked_scrub(std::span<const std::uint8_t> container) {
   s.frames_total = h.frame_count;
   s.parity_k = h.parity_k;
   s.parity_m = h.parity_m;
-  s.groups = parity_group_count(h);
+  s.groups = h.groups();
 
-  std::vector<std::uint8_t> frame_ok(h.frame_count, 1);
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    if (frame_crc_ok(frame_bytes(container, h, f), h, f)) continue;
-    frame_ok[f] = 0;
-    ++s.frames_damaged;
-  }
+  const std::vector<std::uint8_t> damaged = damaged_frames(container, h);
+  s.frames_damaged = static_cast<std::size_t>(
+      std::count(damaged.begin(), damaged.end(), 1));
   if (h.parity_m == 0) return s;
-
-  std::vector<std::uint8_t> shard_ok(s.groups * h.parity_m, 1);
-  for (std::size_t g = 0; g < s.groups; ++g) {
-    for (std::size_t j = 0; j < h.parity_m; ++j) {
-      if (crc32c(parity_shard_bytes(container, h, g, j)) ==
-          h.parity_crcs[g * h.parity_m + j])
-        continue;
-      shard_ok[g * h.parity_m + j] = 0;
-      ++s.parity_shards_damaged;
-    }
-  }
+  const std::vector<std::uint8_t> shard_damaged =
+      damaged_shards(container, h);
+  s.parity_shards_damaged = static_cast<std::size_t>(
+      std::count(shard_damaged.begin(), shard_damaged.end(), 1));
 
   // Consistency audit: recompute each fully-intact group's parity from
   // the stored payloads and compare it to the intact stored shards —
@@ -955,7 +812,7 @@ ScrubReport chunked_scrub(std::span<const std::uint8_t> container) {
         std::min(first + h.parity_k, h.frame_count);
     bool inputs_ok = true;
     for (std::size_t f = first; f < last; ++f)
-      inputs_ok &= frame_ok[f] != 0;
+      inputs_ok &= damaged[f] == 0;
     if (!inputs_ok) continue;
     governed_poll();
     const obs::ScopedSpan group_span(obs::Span::kFrameRepair);
@@ -966,8 +823,8 @@ ScrubReport chunked_scrub(std::span<const std::uint8_t> container) {
     const std::vector<std::vector<std::uint8_t>> parity =
         codec.encode(spans);
     for (std::size_t j = 0; j < h.parity_m; ++j) {
-      if (shard_ok[g * h.parity_m + j] == 0) continue;
-      const auto stored = parity_shard_bytes(container, h, g, j);
+      if (shard_damaged[g * h.parity_m + j] != 0) continue;
+      const auto stored = h.parity_shard(container, g, j);
       if (!std::equal(parity[j].begin(), parity[j].end(),
                       stored.begin(), stored.end()))
         ++s.parity_mismatches;
@@ -976,20 +833,124 @@ ScrubReport chunked_scrub(std::span<const std::uint8_t> container) {
   return s;
 }
 
-ParityInfo chunked_parity_info(std::span<const std::uint8_t> container) {
-  const ContainerHeader h = parse_header(container);
+void detail::parse_container(std::span<const std::uint8_t> container,
+                             ContainerHeader& h) {
+  ByteReader r(container);
+  const std::uint32_t magic = r.get_u32();
+  if (magic != kChunkedMagicV1 && magic != kChunkedMagicV2 &&
+      magic != kChunkedMagicV3)
+    throw FormatError("not a chunked DPZ container");
+  if (magic != kChunkedMagicV1) {
+    h.version = r.get_u8();
+    if (h.version != (magic == kChunkedMagicV2 ? kFormatVersion
+                                               : kChunkedFormatVersion3))
+      throw FormatError("unsupported chunked container version");
+  }
+  h.shape = read_shape(r, "chunked container");
+  h.total = 1;
+  for (const std::size_t d : h.shape) h.total *= d;
+  h.chunk_values = static_cast<std::size_t>(r.get_u64());
+  h.frame_count = static_cast<std::size_t>(r.get_u64());
+  // The chunk geometry fully determines the frame count, so demand the
+  // exact value instead of a plausibility envelope: best-effort recovery
+  // needs every frame's slot to be computable from the header alone.
+  if (h.chunk_values < 8 || h.chunk_values > kMaxArchiveElements ||
+      h.frame_count != expected_frame_count(h.total, h.chunk_values))
+    throw FormatError("chunked container: inconsistent chunking");
+  // Each frame-table entry is 16 bytes (20 with CRCs), so a frame count
+  // beyond the remaining input is forged — reject before sizing the
+  // tables off it (the v1 header has no seal to catch it later).
+  const std::size_t entry = h.version >= kFormatVersion ? 20 : 16;
+  if (h.frame_count > r.remaining() / entry)
+    throw FormatError("chunked container: inconsistent chunking");
+
+  h.frame_offsets.resize(h.frame_count);
+  h.frame_sizes.resize(h.frame_count);
+  if (h.version >= kFormatVersion) h.frame_crcs.resize(h.frame_count);
+  for (std::size_t f = 0; f < h.frame_count; ++f) {
+    h.frame_offsets[f] = r.get_u64();
+    h.frame_sizes[f] = r.get_u64();
+    if (h.version >= kFormatVersion) h.frame_crcs[f] = r.get_u32();
+  }
+  // v3 appends the parity geometry after the frame table (still inside
+  // the sealed header): k, m, then per group its shard size and the
+  // CRC32C of each of its m parity shards.
+  std::uint64_t parity_bytes = 0;
+  if (h.version >= kChunkedFormatVersion3) {
+    h.parity_k = r.get_u8();
+    h.parity_m = r.get_u8();
+    if (h.parity_k < 1 || h.parity_m < 1 || h.parity_k + h.parity_m > 255)
+      throw FormatError("chunked container: bad parity geometry");
+    const std::size_t groups = h.groups();
+    // Each group's table entry needs at least 8 bytes, so a claimed
+    // group count beyond the remaining input is forged — reject before
+    // sizing the tables off it.
+    if (groups > r.remaining() / 8)
+      throw FormatError("chunked container: bad parity geometry");
+    h.shard_sizes.resize(groups);
+    h.parity_offsets.resize(groups);
+    h.parity_crcs.resize(groups * h.parity_m);
+    for (std::size_t g = 0; g < groups; ++g) {
+      h.parity_offsets[g] = parity_bytes;
+      h.shard_sizes[g] = r.get_u64();
+      if (h.shard_sizes[g] > (1ULL << 40))
+        throw FormatError("chunked container: implausible parity shard");
+      // Shard sizes are archive data: the running total must not wrap
+      // 64 bits, or the parity-vs-container bound below checks a
+      // wrapped sum and shard reads go out of bounds.
+      const std::uint64_t group_bytes =
+          static_cast<std::uint64_t>(h.parity_m) * h.shard_sizes[g];
+      if (group_bytes > UINT64_MAX - parity_bytes)
+        throw FormatError("chunked container: parity exceeds the container");
+      parity_bytes += group_bytes;
+      for (std::size_t j = 0; j < h.parity_m; ++j)
+        h.parity_crcs[g * h.parity_m + j] = r.get_u32();
+    }
+  }
+  // v2+ seals everything up to here — fields *and* tables — so a
+  // flipped table byte is caught before any frame bytes are touched.
+  read_header_seal(r, container, h.version, "chunked container", h.header);
+  h.frames_begin = r.position();
+
+  // Frame table sanity: contiguous, in-bounds frames that exactly fill
+  // the container (no trailing bytes). Sizes are archive data, so
+  // accumulate against the actual frame-area size instead of trusting
+  // the sum not to wrap 64 bits. For v3 the frame area stops where the
+  // parity area starts.
+  const std::uint64_t tail = container.size() - h.frames_begin;
+  if (parity_bytes > tail)
+    throw FormatError("chunked container: parity exceeds the container");
+  const std::uint64_t frame_area = tail - parity_bytes;
+  std::uint64_t expected = 0;
+  for (std::size_t f = 0; f < h.frame_count; ++f) {
+    if (h.frame_offsets[f] != expected)
+      throw FormatError("chunked container: non-contiguous frame table");
+    if (h.frame_sizes[f] > frame_area - expected)
+      throw FormatError("chunked container: frame exceeds the container");
+    expected += h.frame_sizes[f];
+  }
+  if (expected != frame_area)
+    throw FormatError("chunked container: frame area size mismatch");
+  h.parity_begin = h.frames_begin + static_cast<std::size_t>(frame_area);
+  // Every frame must fit its group's shard (parity runs over
+  // zero-padded payloads, so a shorter shard cannot cover the frame).
+  for (std::size_t f = 0; f < h.frame_count && h.parity_m != 0; ++f)
+    if (h.frame_sizes[f] > h.shard_sizes[f / h.parity_k])
+      throw FormatError("chunked container: frame exceeds its parity shard");
+}
+
+ParityInfo detail::parity_info(const ContainerHeader& h) {
   ParityInfo info;
   info.parity_k = h.parity_k;
   info.parity_m = h.parity_m;
-  info.groups = parity_group_count(h);
+  info.groups = h.groups();
   for (std::size_t g = 0; g < info.groups; ++g)
     info.parity_bytes += h.parity_m * h.shard_sizes[g];
   return info;
 }
 
-DecodePreflight chunked_decode_preflight(
-    std::span<const std::uint8_t> container) {
-  const ContainerHeader h = parse_header(container);
+DecodePreflight detail::container_preflight(
+    std::span<const std::uint8_t> container, const ContainerHeader& h) {
   DecodePreflight pf;
   pf.decoded_bytes =
       static_cast<std::uint64_t>(h.total) * sizeof(float);
@@ -999,7 +960,7 @@ DecodePreflight chunked_decode_preflight(
   // which the runtime per-allocation charges still bound exactly).
   std::uint64_t worst_frame = 0;
   for (std::size_t f = 0; f < h.frame_count; ++f) {
-    const DpzArchiveInfo info = dpz_inspect(frame_bytes(container, h, f));
+    const DpzArchiveInfo info = dpz_inspect(h.frame(container, f));
     worst_frame =
         std::max(worst_frame, dpz_decode_preflight(info).peak_bytes);
   }
@@ -1007,6 +968,15 @@ DecodePreflight chunked_decode_preflight(
                       ? UINT64_MAX
                       : pf.decoded_bytes + worst_frame;
   return pf;
+}
+
+ParityInfo chunked_parity_info(std::span<const std::uint8_t> container) {
+  return detail::parity_info(parse_header(container));
+}
+
+DecodePreflight chunked_decode_preflight(
+    std::span<const std::uint8_t> container) {
+  return detail::container_preflight(container, parse_header(container));
 }
 
 }  // namespace dpz

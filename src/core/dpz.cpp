@@ -118,18 +118,38 @@ void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
   w.put_blob(z);
 }
 
-std::vector<std::uint8_t> get_section(ByteReader& r, std::uint8_t version,
-                                      const char* what) {
-  const std::size_t section_start = r.position();
-  const std::uint64_t raw_size = r.get_u64();
-  const std::uint32_t stored_crc =
-      version >= kFormatVersion ? r.get_u32() : 0;
-  const std::vector<std::uint8_t> z = r.get_blob();
-  // A corrupted raw-size field must not drive the output allocation:
-  // deflate expands at most ~1032:1, so anything beyond that bound (plus
-  // slack for tiny sections) is a forged header.
-  if (raw_size > z.size() * 1100 + 4096)
-    throw FormatError("section raw size implausible for its payload");
+namespace {
+
+void check_raw_size(const SectionExtent& s) {
+  if (s.raw_size > s.blob.size() * 1100 + 4096)
+    throw FormatError(std::string("section '") + s.name +
+                      "': raw size implausible for its payload");
+}
+
+}  // namespace
+
+SectionExtent read_section(ByteReader& r,
+                           std::span<const std::uint8_t> archive,
+                           std::uint8_t version, const char* name) {
+  SectionExtent s;
+  s.name = name;
+  s.offset = r.position();
+  s.raw_size = r.get_u64();
+  if (version >= kFormatVersion) s.stored_crc = r.get_u32();
+  const std::uint64_t blob_size = r.get_u64();
+  if (blob_size > r.remaining())
+    throw FormatError(std::string("section '") + name + "': blob length " +
+                      std::to_string(blob_size) + " exceeds the remaining " +
+                      std::to_string(r.remaining()) + " bytes");
+  s.blob = archive.subspan(r.position(), static_cast<std::size_t>(blob_size));
+  r.skip(static_cast<std::size_t>(blob_size));
+  s.size = r.position() - s.offset;
+  check_raw_size(s);
+  return s;
+}
+
+std::vector<std::uint8_t> get_section(const SectionExtent& s,
+                                      std::uint8_t version) {
   // Verify-before-inflate: a damaged blob must never reach zlib (whose
   // failure modes on corrupt streams are a generic error at best) or
   // drive the quantizer. tools/lint.sh rule 5 keeps every core section
@@ -137,31 +157,51 @@ std::vector<std::uint8_t> get_section(ByteReader& r, std::uint8_t version,
   if (version >= kFormatVersion) {
     const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
     obs::count(obs::Counter::kCrcChecks);
-    if (section_crc(raw_size, z) != stored_crc) {
+    if (section_crc(s.raw_size, s.blob) != s.stored_crc) {
       obs::count(obs::Counter::kCrcFailures);
       obs::LogContext ctx;
-      ctx.offset = section_start;
-      ctx.section = what;
+      ctx.offset = s.offset;
+      ctx.section = s.name;
       obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
                      ctx, "corrupted section blob");
       throw ChecksumError("section checksum mismatch (corrupted blob)");
     }
   }
-  return zlib_decompress(z, static_cast<std::size_t>(raw_size));
+  return zlib_decompress(s.blob, static_cast<std::size_t>(s.raw_size));
+}
+
+std::vector<std::uint8_t> get_section(ByteReader& r, std::uint8_t version,
+                                      const char* what) {
+  SectionExtent s;
+  s.name = what != nullptr ? what : "section";
+  s.offset = r.position();
+  s.raw_size = r.get_u64();
+  if (version >= kFormatVersion) s.stored_crc = r.get_u32();
+  const std::vector<std::uint8_t> z = r.get_blob();
+  s.blob = z;
+  check_raw_size(s);
+  return get_section(s, version);
 }
 
 void put_header_crc(ByteWriter& w) { w.put_u32(crc32c(w.bytes())); }
 
-void check_header_crc(ByteReader& r, std::span<const std::uint8_t> archive,
-                      const char* what) {
+void read_header_seal(ByteReader& r, std::span<const std::uint8_t> archive,
+                      std::uint8_t version, const char* what,
+                      SectionExtent& header) {
+  header.name = "header";
+  header.blob = archive.first(r.position());
+  if (version < kFormatVersion) {
+    header.size = r.position();
+    return;
+  }
+  header.stored_crc = r.get_u32();
+  header.size = r.position();
   const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
   obs::count(obs::Counter::kCrcChecks);
-  const std::size_t header_end = r.position();
-  const std::uint32_t computed = crc32c(archive.first(header_end));
-  if (r.get_u32() != computed) {
+  if (crc32c(header.blob) != header.stored_crc) {
     obs::count(obs::Counter::kCrcFailures);
     obs::LogContext ctx;
-    ctx.offset = header_end;
+    ctx.offset = header.blob.size();
     ctx.section = "header";
     obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
                    ctx, what);
@@ -169,12 +209,46 @@ void check_header_crc(ByteReader& r, std::span<const std::uint8_t> archive,
   }
 }
 
+std::vector<std::size_t> read_shape(ByteReader& r, const char* what) {
+  const std::uint8_t rank = r.get_u8();
+  if (rank == 0 || rank > 4)
+    throw FormatError(std::string(what) + ": unsupported data rank");
+  std::vector<std::size_t> shape(rank);
+  std::uint64_t total = 1;
+  for (auto& d : shape) {
+    const std::uint64_t e = r.get_u64();
+    if (e == 0 || e > kMaxArchiveElements)
+      throw FormatError(std::string(what) + ": implausible extent");
+    total *= e;
+    if (total > kMaxArchiveElements)
+      throw FormatError(std::string(what) + ": implausible total size");
+    d = static_cast<std::size_t>(e);
+  }
+  return shape;
+}
+
+bool geometry_ok(const BlockLayout& lay, std::uint64_t total,
+                 std::uint64_t k) {
+  // m < n keeps m (and with it every m*k product) far from overflow.
+  return total == lay.original_total && lay.m != 0 && lay.n != 0 &&
+         lay.m < lay.n && lay.m <= kMaxArchiveElements / lay.n &&
+         lay.padded_total() >= lay.original_total &&
+         lay.padded_total() <= 4 * lay.original_total + 16 && k != 0 &&
+         k <= lay.m;
+}
+
+void require_consumed(const ByteReader& r, const char* what) {
+  if (r.remaining() != 0)
+    throw FormatError(std::string(what) + ": " +
+                      std::to_string(r.remaining()) +
+                      " trailing bytes after the last section");
+}
+
 }  // namespace detail
 
 namespace {
 
 using detail::SideData;
-using detail::check_header_crc;
 using detail::deserialize_side;
 using detail::get_section;
 using detail::put_header_crc;
@@ -184,43 +258,10 @@ using detail::serialize_side;
 constexpr std::uint32_t kMagic = detail::kDpzMagic;
 constexpr std::uint8_t kVersion = detail::kFormatVersion;
 
-// Reads and validates the version byte: v1 (legacy, no checksums) and v2
-// (checksummed) archives both decode; anything else is from the future.
-std::uint8_t read_version(ByteReader& r) {
-  const std::uint8_t version = r.get_u8();
-  if (version != detail::kFormatVersionLegacy &&
-      version != detail::kFormatVersion)
-    throw FormatError("unsupported DPZ archive version");
-  return version;
-}
-
 constexpr std::uint8_t kFlagWideCodes = 0x01;
 constexpr std::uint8_t kFlagStandardized = 0x02;
 constexpr std::uint8_t kFlagStoredRaw = 0x04;
 constexpr std::uint8_t kFlagDouble = 0x08;
-
-// Upper bound on the element count an archive may claim. Prevents a
-// corrupted header from triggering a runaway allocation before any
-// payload validation can run (2^40 elements = 4 TiB of f32).
-constexpr std::uint64_t kMaxArchiveElements = 1ULL << 40;
-
-// Reads and validates a shape header; throws FormatError on nonsense.
-std::vector<std::size_t> read_shape(ByteReader& r) {
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4) throw FormatError("unsupported data rank");
-  std::vector<std::size_t> shape(rank);
-  std::uint64_t total = 1;
-  for (auto& d : shape) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxArchiveElements)
-      throw FormatError("implausible extent in DPZ archive");
-    total *= e;
-    if (total > kMaxArchiveElements)
-      throw FormatError("implausible total size in DPZ archive");
-    d = static_cast<std::size_t>(e);
-  }
-  return shape;
-}
 
 template <typename T>
 void put_element(ByteWriter& w, double v) {
@@ -476,41 +517,35 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   const GovernorScope governor_scope(limits);
   governed_poll();
   obs::count(obs::Counter::kDecompressCalls);
-  ByteReader r(archive);
-  if (r.get_u32() != kMagic) throw FormatError("not a DPZ archive");
-  const std::uint8_t version = read_version(r);
-  const std::uint8_t flags = r.get_u8();
-  const bool wide_codes = (flags & kFlagWideCodes) != 0;
-  const bool standardized = (flags & kFlagStandardized) != 0;
-  const bool is_double = (flags & kFlagDouble) != 0;
-  if (is_double != (sizeof(T) == 8))
-    throw FormatError(is_double
+  detail::DpzLayout parsed;
+  detail::parse_dpz(archive, parsed);
+  const DpzArchiveInfo& info = parsed.info;
+  const auto version = static_cast<std::uint8_t>(info.version);
+  if (info.double_precision != (sizeof(T) == 8))
+    throw FormatError(info.double_precision
                           ? "archive holds double-precision data; use "
                             "dpz_decompress_f64"
                           : "archive holds single-precision data; use "
                             "dpz_decompress");
 
-  if ((flags & kFlagStoredRaw) != 0) {
-    r.get_f64();  // unused error-bound slot
-    const std::vector<std::size_t> shape = read_shape(r);
-    if (version >= kVersion)
-      check_header_crc(r, archive, "stored DPZ archive");
+  // Pre-flight admission: price the header-claimed decode and reject it
+  // against the governing memory budget before get_section sizes the
+  // first payload allocation from these (validated-but-untrusted) fields.
+  // An archive claiming terabytes therefore fails with ResourceExhausted
+  // here, never by attempting the allocation.
+  if (const ResourceGovernor* g = current_governor())
+    g->admit(dpz_decode_preflight(info).peak_bytes,
+             info.stored_raw ? "stored DPZ archive" : "DPZ archive");
+
+  if (info.stored_raw) {
     std::size_t total = 1;
-    for (const std::size_t d : shape) total *= d;
-    if (const ResourceGovernor* g = current_governor()) {
-      DpzArchiveInfo claim;
-      claim.stored_raw = true;
-      claim.double_precision = is_double;
-      claim.shape = shape;
-      g->admit(dpz_decode_preflight(claim).peak_bytes,
-               "stored DPZ archive");
-    }
+    for (const std::size_t d : info.shape) total *= d;
     const std::vector<std::uint8_t> raw =
-        get_section(r, version, "stored raw");
+        get_section(parsed.sections[0], version);
     if (raw.size() != total * sizeof(T))
       throw FormatError("stored DPZ archive size mismatch");
     ByteReader raw_reader(raw);
-    NdArray<T> out(shape);
+    NdArray<T> out(info.shape);
     for (T& v : out.flat()) v = static_cast<T>(get_element<T>(raw_reader));
     obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
     return out;
@@ -522,70 +557,26 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   span.emplace(obs::Span::kDecodeSections);
 
   QuantizerConfig qcfg;
-  qcfg.error_bound = r.get_f64();
-  qcfg.wide_codes = wide_codes;
-  if (!(qcfg.error_bound > 0.0) || !std::isfinite(qcfg.error_bound))
-    throw FormatError("DPZ archive has an invalid error bound");
+  qcfg.error_bound = info.error_bound;
+  qcfg.wide_codes = info.wide_codes;
+  const BlockLayout& layout = info.layout;
+  const std::size_t k = info.k;
+  const std::uint64_t outlier_count = info.outlier_count;
 
-  const std::vector<std::size_t> shape = read_shape(r);
-
-  BlockLayout layout;
-  layout.m = static_cast<std::size_t>(r.get_u64());
-  layout.n = static_cast<std::size_t>(r.get_u64());
-  layout.original_total = static_cast<std::size_t>(r.get_u64());
-  layout.padded = layout.m * layout.n != layout.original_total;
-  const std::size_t k = r.get_u32();
-  const std::uint64_t outlier_count = r.get_u64();
-  // The header seal comes first: a flipped bit in any fixed field is
-  // reported as corruption, not as whichever geometry invariant it
-  // happens to break. (Forged-but-resealed headers still hit the checks
-  // below — the CRC authenticates bytes, not semantics.)
-  if (version >= kVersion) check_header_crc(r, archive, "DPZ archive");
-
-  std::size_t shape_total = 1;
-  for (const std::size_t d : shape) shape_total *= d;
-  // Geometry invariants the compressor always satisfies; anything else is
-  // a corrupted header (and would otherwise size downstream allocations).
-  if (shape_total != layout.original_total || layout.m == 0 ||
-      layout.n == 0 || layout.m >= layout.n || k == 0 || k > layout.m ||
-      layout.m > kMaxArchiveElements / layout.n ||
-      layout.padded_total() < layout.original_total ||
-      layout.padded_total() > 4 * layout.original_total + 16 ||
-      outlier_count > static_cast<std::uint64_t>(k) * layout.n)
-    throw FormatError("inconsistent DPZ archive geometry");
-
-  // Pre-flight admission: price the header-claimed decode and reject it
-  // against the governing memory budget before get_section sizes the
-  // first payload allocation from these (validated-but-untrusted) fields.
-  // An archive claiming terabytes therefore fails with ResourceExhausted
-  // here, never by attempting the allocation.
-  if (const ResourceGovernor* g = current_governor()) {
-    DpzArchiveInfo claim;
-    claim.wide_codes = wide_codes;
-    claim.standardized = standardized;
-    claim.double_precision = is_double;
-    claim.shape = shape;
-    claim.layout = layout;
-    claim.k = k;
-    claim.outlier_count = outlier_count;
-    g->admit(dpz_decode_preflight(claim).peak_bytes, "DPZ archive");
-  }
-
-  const std::vector<std::uint8_t> side_bytes =
-      get_section(r, version, "side data");
-  const SideData side =
-      deserialize_side(side_bytes, layout.m, k, standardized);
+  const SideData side = deserialize_side(
+      get_section(parsed.sections[0], version), layout.m, k,
+      info.standardized);
 
   QuantizedStream qs;
   qs.count = k * layout.n;
-  qs.codes = get_section(r, version, "codes");
+  qs.codes = get_section(parsed.sections[1], version);
   // Validate the code-section size against the claimed geometry *before*
   // anything downstream (score matrices, outlier buffers) is sized from
   // k*n — dequantize()'s size contract must never see archive data.
   if (qs.codes.size() != qs.count * qcfg.code_bytes())
     throw FormatError("DPZ code section size mismatch");
   const std::vector<std::uint8_t> outlier_raw =
-      get_section(r, version, "outliers");
+      get_section(parsed.sections[2], version);
   if (outlier_raw.size() != outlier_count * sizeof(T))
     throw FormatError("DPZ outlier section size mismatch");
   ByteReader outlier_reader(outlier_raw);
@@ -654,7 +645,7 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
     plan.inverse(row, row);
   });
 
-  NdArray<T> out(shape);
+  NdArray<T> out(info.shape);
   from_blocks(blocks, layout, out.flat());
   span.reset();
   obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
@@ -730,37 +721,62 @@ DecodePreflight dpz_decode_preflight(const DpzArchiveInfo& info) {
   return pf;
 }
 
-DpzArchiveInfo dpz_inspect(std::span<const std::uint8_t> archive) {
+void detail::parse_dpz(std::span<const std::uint8_t> archive,
+                       DpzLayout& out) {
   ByteReader r(archive);
   if (r.get_u32() != kMagic) throw FormatError("not a DPZ archive");
-  const std::uint8_t version = read_version(r);
-  const std::uint8_t flags = r.get_u8();
-
-  DpzArchiveInfo info;
-  info.version = version;
+  DpzArchiveInfo& info = out.info;
   info.archive_bytes = archive.size();
+  // v1 (legacy, no checksums) and v2 (checksummed) archives both decode;
+  // anything else is from the future.
+  const std::uint8_t version = r.get_u8();
+  if (version != kFormatVersionLegacy && version != kVersion)
+    throw FormatError("unsupported DPZ archive version");
+  info.version = version;
+  const std::uint8_t flags = r.get_u8();
   info.stored_raw = (flags & kFlagStoredRaw) != 0;
   info.wide_codes = (flags & kFlagWideCodes) != 0;
   info.standardized = (flags & kFlagStandardized) != 0;
   info.double_precision = (flags & kFlagDouble) != 0;
-  info.error_bound = r.get_f64();
-
-  info.shape = read_shape(r);
+  info.error_bound = r.get_f64();  // unused slot in stored archives
+  info.shape = read_shape(r, "DPZ archive");
   if (info.stored_raw) {
-    if (version >= kVersion)
-      check_header_crc(r, archive, "stored DPZ archive");
-    return info;
+    read_header_seal(r, archive, version, "stored DPZ archive", out.header);
+    out.sections.push_back(read_section(r, archive, version, "payload"));
+    require_consumed(r, "stored DPZ archive");
+    return;
   }
 
-  info.layout.m = static_cast<std::size_t>(r.get_u64());
-  info.layout.n = static_cast<std::size_t>(r.get_u64());
-  info.layout.original_total = static_cast<std::size_t>(r.get_u64());
-  info.layout.padded =
-      info.layout.m * info.layout.n != info.layout.original_total;
+  BlockLayout& layout = info.layout;
+  layout.m = static_cast<std::size_t>(r.get_u64());
+  layout.n = static_cast<std::size_t>(r.get_u64());
+  layout.original_total = static_cast<std::size_t>(r.get_u64());
+  layout.padded = layout.m * layout.n != layout.original_total;
   info.k = r.get_u32();
   info.outlier_count = r.get_u64();
-  if (version >= kVersion) check_header_crc(r, archive, "DPZ archive");
-  return info;
+  // The header seal comes first: a flipped bit in any fixed field is
+  // reported as corruption, not as whichever geometry invariant it
+  // happens to break. (Forged-but-resealed headers still hit the checks
+  // below — the CRC authenticates bytes, not semantics.)
+  read_header_seal(r, archive, version, "DPZ archive", out.header);
+  if (!(info.error_bound > 0.0) || !std::isfinite(info.error_bound))
+    throw FormatError("DPZ archive has an invalid error bound");
+  // Geometry invariants the compressor always satisfies; anything else is
+  // a corrupted header (and would otherwise size downstream allocations).
+  std::uint64_t total = 1;
+  for (const std::size_t d : info.shape) total *= d;
+  if (!geometry_ok(layout, total, info.k) ||
+      info.outlier_count > static_cast<std::uint64_t>(info.k) * layout.n)
+    throw FormatError("inconsistent DPZ archive geometry");
+  for (const char* name : {"side", "codes", "outliers"})
+    out.sections.push_back(read_section(r, archive, version, name));
+  require_consumed(r, "DPZ archive");
+}
+
+DpzArchiveInfo dpz_inspect(std::span<const std::uint8_t> archive) {
+  detail::DpzLayout parsed;
+  detail::parse_dpz(archive, parsed);
+  return parsed.info;
 }
 
 }  // namespace dpz

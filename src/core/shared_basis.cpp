@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/stage_clock.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 #include "stats/knee.h"
 #include "util/resource.h"
 #include "util/thread_pool.h"
@@ -21,9 +20,12 @@ namespace {
 
 // Reads the version byte of a v2 blob/snapshot; v1 tags carry none, so
 // the magic alone selects the legacy parse.
-std::uint8_t read_shared_version(ByteReader& r, std::uint32_t magic,
-                                 std::uint32_t v2_magic) {
-  if (magic != v2_magic) return detail::kFormatVersionLegacy;
+std::uint8_t read_shared_version(ByteReader& r, std::uint32_t v1_magic,
+                                 std::uint32_t v2_magic, const char* what) {
+  const std::uint32_t magic = r.get_u32();
+  if (magic != v1_magic && magic != v2_magic)
+    throw FormatError(std::string("not a ") + what);
+  if (magic == v1_magic) return detail::kFormatVersionLegacy;
   const std::uint8_t version = r.get_u8();
   if (version != detail::kFormatVersion)
     throw FormatError("unsupported shared-basis format version");
@@ -39,6 +41,17 @@ Matrix dct_blocks_of(const FloatArray& data, const BlockLayout& layout,
     plan.forward(row, row);
   });
   return blocks;
+}
+
+// The frozen M x k basis as a PcaModel (unit scales, zero means), so
+// compress and decompress project through PcaModel::transform and
+// inverse_transform; callers fill in the snapshot's means.
+PcaModel projection_model(const Matrix& basis) {
+  PcaModel model;
+  model.mean.assign(basis.rows(), 0.0);
+  model.scale.assign(basis.rows(), 1.0);
+  model.components = basis;
+  return model;
 }
 
 // Row means of a block matrix (the per-snapshot centering vector).
@@ -142,63 +155,52 @@ std::vector<std::uint8_t> SharedBasisCodec::serialize() const {
   return w.take();
 }
 
+void detail::parse_basis(std::span<const std::uint8_t> blob,
+                         BasisLayout& out) {
+  ByteReader r(blob);
+  out.version = read_shared_version(r, kBasisMagicV1, kBasisMagicV2,
+                                    "shared-basis blob");
+  out.wide_codes = r.get_u8() != 0;
+  out.error_bound = r.get_f64();
+  out.shape = read_shape(r, "shared-basis blob");
+  out.layout.m = static_cast<std::size_t>(r.get_u64());
+  out.layout.n = static_cast<std::size_t>(r.get_u64());
+  out.layout.original_total = static_cast<std::size_t>(r.get_u64());
+  out.layout.padded =
+      out.layout.m * out.layout.n != out.layout.original_total;
+  out.k = r.get_u32();
+  read_header_seal(r, blob, out.version, "shared-basis blob", out.header);
+  if (!(out.error_bound > 0.0))
+    throw FormatError("shared-basis blob: bad error bound");
+  // Same geometry envelope the DPZ decoder enforces.
+  std::uint64_t total = 1;
+  for (const std::size_t d : out.shape) total *= d;
+  if (!geometry_ok(out.layout, total, out.k))
+    throw FormatError("shared-basis blob: inconsistent geometry");
+  out.sections.push_back(read_section(r, blob, out.version, "basis"));
+  require_consumed(r, "shared-basis blob");
+}
+
 SharedBasisCodec SharedBasisCodec::deserialize(
     std::span<const std::uint8_t> blob) {
-  ByteReader r(blob);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != detail::kBasisMagicV1 && magic != detail::kBasisMagicV2)
-    throw FormatError("not a shared-basis blob");
+  detail::BasisLayout parsed;
+  detail::parse_basis(blob, parsed);
   SharedBasisCodec codec;
-  const std::uint8_t version =
-      read_shared_version(r, magic, detail::kBasisMagicV2);
-  codec.qcfg_.wide_codes = r.get_u8() != 0;
-  codec.qcfg_.error_bound = r.get_f64();
-  if (!(codec.qcfg_.error_bound > 0.0))
-    throw FormatError("shared-basis blob: bad error bound");
-
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4)
-    throw FormatError("shared-basis blob: bad rank");
-  codec.shape_.resize(rank);
-  std::uint64_t total = 1;
-  constexpr std::uint64_t kMaxElements = 1ULL << 40;
-  for (auto& d : codec.shape_) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxElements)
-      throw FormatError("shared-basis blob: implausible extent");
-    total *= e;
-    if (total > kMaxElements)
-      throw FormatError("shared-basis blob: implausible total");
-    d = static_cast<std::size_t>(e);
-  }
-  codec.layout_.m = static_cast<std::size_t>(r.get_u64());
-  codec.layout_.n = static_cast<std::size_t>(r.get_u64());
-  codec.layout_.original_total = static_cast<std::size_t>(r.get_u64());
-  codec.layout_.padded =
-      codec.layout_.m * codec.layout_.n != codec.layout_.original_total;
-  const std::size_t k = r.get_u32();
-  if (version >= detail::kFormatVersion)
-    detail::check_header_crc(r, blob, "shared-basis blob");
-  // Same geometry envelope the DPZ decoder enforces: m < n keeps m (and
-  // with it every m*k product below) far from overflow, and the padded
-  // total must stay within the layout chooser's worst case.
-  const BlockLayout& lay = codec.layout_;
-  if (total != lay.original_total || lay.m == 0 || lay.n == 0 ||
-      lay.m >= lay.n || lay.m > kMaxElements / lay.n ||
-      lay.padded_total() < lay.original_total ||
-      lay.padded_total() > 4 * lay.original_total + 16 || k == 0 ||
-      k > lay.m)
-    throw FormatError("shared-basis blob: inconsistent geometry");
-
+  codec.qcfg_.wide_codes = parsed.wide_codes;
+  codec.qcfg_.error_bound = parsed.error_bound;
+  codec.shape_ = parsed.shape;
+  codec.layout_ = parsed.layout;
+  const std::size_t m = parsed.layout.m;
+  const std::size_t k = parsed.k;
   const std::vector<std::uint8_t> shuffled =
-      detail::get_section(r, version, "shared basis");
-  if (shuffled.size() != codec.layout_.m * k * sizeof(float))
+      detail::get_section(parsed.sections[0], parsed.version);
+  if (shuffled.size() != m * k * sizeof(float))
     throw FormatError("shared-basis blob: basis size mismatch");
   const std::vector<std::uint8_t> raw =
       unshuffle_bytes(shuffled, sizeof(float));
   ByteReader basis_reader(raw);
-  codec.basis_ = Matrix(codec.layout_.m, k);
-  for (std::size_t i = 0; i < codec.layout_.m; ++i)
+  codec.basis_ = Matrix(m, k);
+  for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < k; ++j)
       codec.basis_(i, j) = static_cast<double>(basis_reader.get_f32());
   codec.plan_.emplace(codec.layout_.n);
@@ -227,22 +229,13 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   std::optional<obs::StageSpan> stage;
   stage.emplace(acc, obs::Span::kStage1Dct);
   const Matrix blocks = dct_blocks_of(snapshot, layout_, *plan_);
-  const std::vector<double> mean = row_means(blocks);
 
   // Scores against the frozen basis: Y = D_k^T (Z - mean).
   stage.emplace(acc, obs::Span::kStage2Pca);
   governed_poll();
-  const std::size_t k = basis_.cols();
-  const simd::KernelTable& ops = simd::kernels();
-  Matrix scores(k, layout_.n);
-  parallel_for(0, k, [&](std::size_t j) {
-    double* out = scores.row(j).data();
-    for (std::size_t i = 0; i < layout_.m; ++i) {
-      const double d = basis_(i, j);
-      if (d == 0.0) continue;
-      ops.accum_centered(d, blocks.row(i).data(), mean[i], out, layout_.n);
-    }
-  });
+  PcaModel model = projection_model(basis_);
+  model.mean = row_means(blocks);
+  Matrix scores = model.transform(blocks, basis_.cols());
 
   stage.emplace(acc, obs::Span::kStage3Quantize);
   governed_poll();
@@ -263,7 +256,7 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   detail::put_header_crc(w);
 
   ByteWriter mean_bytes;
-  for (const double v : mean) mean_bytes.put_f64(v);
+  for (const double v : model.mean) mean_bytes.put_f64(v);
   detail::put_section(w, mean_bytes.bytes(), zlib_level_);
 
   const std::size_t before_payload = w.size();
@@ -286,6 +279,21 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   return archive;
 }
 
+void detail::parse_snapshot(std::span<const std::uint8_t> archive,
+                            SnapshotLayout& out) {
+  ByteReader r(archive);
+  out.version = read_shared_version(r, kSnapshotMagicV1, kSnapshotMagicV2,
+                                    "shared-basis snapshot archive");
+  out.score_scale = r.get_f64();
+  out.outlier_count = r.get_u64();
+  read_header_seal(r, archive, out.version, "snapshot archive", out.header);
+  if (!(out.score_scale > 0.0))
+    throw FormatError("snapshot archive: bad score scale");
+  for (const char* name : {"mean", "codes", "outliers"})
+    out.sections.push_back(read_section(r, archive, out.version, name));
+  require_consumed(r, "snapshot archive");
+}
+
 FloatArray SharedBasisCodec::decompress(
     std::span<const std::uint8_t> archive) const {
   const ScopedThreads pool_scope(threads_);
@@ -294,18 +302,9 @@ FloatArray SharedBasisCodec::decompress(
   obs::count(obs::Counter::kDecompressCalls);
   std::optional<obs::ScopedSpan> span;
   span.emplace(obs::Span::kDecodeSections);
-  ByteReader r(archive);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != detail::kSnapshotMagicV1 && magic != detail::kSnapshotMagicV2)
-    throw FormatError("not a shared-basis snapshot archive");
-  const std::uint8_t version =
-      read_shared_version(r, magic, detail::kSnapshotMagicV2);
-  const double score_scale = r.get_f64();
-  if (!(score_scale > 0.0))
-    throw FormatError("snapshot archive: bad score scale");
-  const std::uint64_t outlier_count = r.get_u64();
-  if (version >= detail::kFormatVersion)
-    detail::check_header_crc(r, archive, "snapshot archive");
+  detail::SnapshotLayout parsed;
+  detail::parse_snapshot(archive, parsed);
+  const std::uint64_t outlier_count = parsed.outlier_count;
   if (outlier_count > basis_.cols() * layout_.n)
     throw FormatError("snapshot archive: implausible outlier count");
 
@@ -329,23 +328,23 @@ FloatArray SharedBasisCodec::decompress(
   }
 
   const std::vector<std::uint8_t> mean_raw =
-      detail::get_section(r, version, "means");
+      detail::get_section(parsed.sections[0], parsed.version);
   if (mean_raw.size() != layout_.m * sizeof(double))
     throw FormatError("snapshot archive: mean size mismatch");
   ByteReader mean_reader(mean_raw);
-  std::vector<double> mean(layout_.m);
-  for (double& v : mean) v = mean_reader.get_f64();
+  PcaModel model = projection_model(basis_);
+  for (double& v : model.mean) v = mean_reader.get_f64();
 
   const std::size_t k = basis_.cols();
   QuantizedStream qs;
   qs.count = k * layout_.n;
-  qs.codes = detail::get_section(r, version, "codes");
+  qs.codes = detail::get_section(parsed.sections[1], parsed.version);
   // Check the section against the codec's geometry before dequantize()
   // sees it: its size contract is for callers, not for archive bytes.
   if (qs.codes.size() != qs.count * qcfg_.code_bytes())
     throw FormatError("snapshot archive: code section size mismatch");
   const std::vector<std::uint8_t> outlier_raw =
-      detail::get_section(r, version, "outliers");
+      detail::get_section(parsed.sections[2], parsed.version);
   if (outlier_raw.size() != outlier_count * sizeof(float))
     throw FormatError("snapshot archive: outlier size mismatch");
   ByteReader outlier_reader(outlier_raw);
@@ -357,23 +356,12 @@ FloatArray SharedBasisCodec::decompress(
   governed_poll();
   Matrix scores(k, layout_.n);
   dequantize(qs, qcfg_, scores.flat());
-  for (double& v : scores.flat()) v *= score_scale;
+  for (double& v : scores.flat()) v *= parsed.score_scale;
 
   // Back-project: Z = D_k Y + mean, then inverse DCT + de-block.
   span.emplace(obs::Span::kDecodeBackproject);
   governed_poll();
-  Matrix blocks(layout_.m, layout_.n);
-  parallel_for(0, layout_.m, [&](std::size_t i) {
-    double* out = blocks.row(i).data();
-    for (std::size_t j = 0; j < k; ++j) {
-      const double d = basis_(i, j);
-      if (d == 0.0) continue;
-      const double* y = scores.row(j).data();
-      for (std::size_t c = 0; c < layout_.n; ++c) out[c] += d * y[c];
-    }
-    const double mu = mean[i];
-    for (std::size_t c = 0; c < layout_.n; ++c) out[c] += mu;
-  });
+  Matrix blocks = model.inverse_transform(scores);
 
   span.emplace(obs::Span::kDecodeIdct);
   governed_poll();

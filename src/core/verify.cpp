@@ -1,6 +1,5 @@
 #include "core/verify.h"
 
-#include "codec/bytes.h"
 #include "core/archive_detail.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,328 +10,169 @@ namespace dpz {
 
 namespace {
 
-using detail::kFormatVersion;
-using detail::kFormatVersionLegacy;
+using detail::SectionExtent;
 
-// Records the fixed header (bytes [0, cursor) plus the v2 seal) as a
-// pseudo-section. Reads the stored CRC for v2, so the cursor lands on
-// the first section afterwards.
-void walk_header(ByteReader& r, std::span<const std::uint8_t> bytes,
-                 std::uint8_t version, VerifyReport& rep) {
-  SectionStatus s;
-  s.name = "header";
-  s.offset = 0;
-  if (version >= kFormatVersion) {
-    const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-    obs::count(obs::Counter::kCrcChecks);
-    s.has_crc = true;
-    s.computed_crc = crc32c(bytes.first(r.position()));
-    s.stored_crc = r.get_u32();
-    s.crc_ok = s.stored_crc == s.computed_crc;
-    if (!s.crc_ok) {
-      obs::count(obs::Counter::kCrcFailures);
-      rep.problems.push_back("header checksum mismatch");
-    }
-  }
-  s.size = r.position();
-  rep.sections.push_back(s);
-}
-
-// Walks one compressed section (v1 or v2 framing) without inflating it.
-void walk_section(ByteReader& r, std::uint8_t version,
-                  const std::string& name, VerifyReport& rep) {
+// Appends the report row for one located unit, comparing its stored CRC
+// against `computed` when the format version carries checksums; false
+// when that comparison fails. `count` is false for a check the parser
+// already counted (the header seal).
+bool add_row(VerifyReport& rep, const std::string& name,
+             const SectionExtent& e, std::uint32_t computed,
+             bool count = true) {
   SectionStatus s;
   s.name = name;
-  s.offset = r.position();
-  s.raw_size = r.get_u64();
-  if (version >= kFormatVersion) {
+  s.offset = e.offset;
+  s.size = e.size;
+  s.raw_size = e.raw_size;
+  if (rep.version >= detail::kFormatVersion) {
     s.has_crc = true;
-    s.stored_crc = r.get_u32();
-  }
-  const std::vector<std::uint8_t> blob = r.get_blob();
-  if (s.raw_size > blob.size() * 1100 + 4096)
-    rep.problems.push_back("section '" + name +
-                           "': raw size implausible for its payload");
-  if (s.has_crc) {
-    const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-    obs::count(obs::Counter::kCrcChecks);
-    s.computed_crc = detail::section_crc(s.raw_size, blob);
-    s.crc_ok = s.computed_crc == s.stored_crc;
-    if (!s.crc_ok) {
-      obs::count(obs::Counter::kCrcFailures);
-      rep.problems.push_back("section '" + name + "' checksum mismatch");
-    }
-  }
-  s.size = r.position() - s.offset;
-  rep.sections.push_back(s);
-}
-
-// Shape fields shared by every header: rank byte + u64 extents. Returns
-// the element count; throws FormatError on nonsense (caught by the
-// top-level walker).
-std::uint64_t walk_shape(ByteReader& r) {
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4) throw FormatError("bad rank");
-  std::uint64_t total = 1;
-  for (std::uint8_t d = 0; d < rank; ++d) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > (1ULL << 40)) throw FormatError("implausible extent");
-    total *= e;
-    if (total > (1ULL << 40)) throw FormatError("implausible total");
-  }
-  return total;
-}
-
-void require_consumed(ByteReader& r, VerifyReport& rep) {
-  if (r.remaining() != 0)
-    rep.problems.push_back(std::to_string(r.remaining()) +
-                           " trailing bytes after the last section");
-}
-
-void walk_dpz(ByteReader& r, std::span<const std::uint8_t> bytes,
-              VerifyReport& rep) {
-  const std::uint8_t version = r.get_u8();
-  if (version != kFormatVersionLegacy && version != kFormatVersion)
-    throw FormatError("unsupported version");
-  rep.version = version;
-  const std::uint8_t flags = r.get_u8();
-  const bool stored_raw = (flags & 0x04) != 0;
-  rep.kind = stored_raw ? "stored" : "dpz";
-  r.get_f64();  // error bound
-  walk_shape(r);
-  if (stored_raw) {
-    walk_header(r, bytes, version, rep);
-    walk_section(r, version, "payload", rep);
-  } else {
-    r.get_u64();  // m
-    r.get_u64();  // n
-    r.get_u64();  // original total
-    r.get_u32();  // k
-    r.get_u64();  // outlier count
-    walk_header(r, bytes, version, rep);
-    walk_section(r, version, "side", rep);
-    walk_section(r, version, "codes", rep);
-    walk_section(r, version, "outliers", rep);
-  }
-  require_consumed(r, rep);
-}
-
-void walk_chunked(ByteReader& r, std::span<const std::uint8_t> bytes,
-                  std::uint32_t magic, VerifyReport& rep) {
-  rep.kind = "chunked";
-  std::uint8_t version = kFormatVersionLegacy;
-  if (magic == detail::kChunkedMagicV2) {
-    version = r.get_u8();
-    if (version != kFormatVersion) throw FormatError("unsupported version");
-  } else if (magic == detail::kChunkedMagicV3) {
-    version = r.get_u8();
-    if (version != detail::kChunkedFormatVersion3)
-      throw FormatError("unsupported version");
-  }
-  rep.version = version;
-  walk_shape(r);
-  const std::uint64_t chunk_values = r.get_u64();
-  const std::uint64_t frame_count = r.get_u64();
-  const std::size_t entry = version >= kFormatVersion ? 20 : 16;
-  if (chunk_values < 8 || frame_count == 0 ||
-      frame_count > r.remaining() / entry)
-    throw FormatError("inconsistent chunking");
-
-  std::vector<std::uint64_t> offsets(frame_count);
-  std::vector<std::uint64_t> sizes(frame_count);
-  std::vector<std::uint32_t> crcs(frame_count, 0);
-  for (std::uint64_t f = 0; f < frame_count; ++f) {
-    offsets[f] = r.get_u64();
-    sizes[f] = r.get_u64();
-    if (version >= kFormatVersion) crcs[f] = r.get_u32();
-  }
-  // v3: parity geometry rides in the sealed header after the frame
-  // table — k, m, then each group's shard size and per-shard CRCs.
-  std::uint64_t parity_k = 0;
-  std::uint64_t parity_m = 0;
-  std::uint64_t parity_bytes = 0;
-  std::vector<std::uint64_t> shard_sizes;
-  std::vector<std::uint32_t> parity_crcs;
-  if (version >= detail::kChunkedFormatVersion3) {
-    parity_k = r.get_u8();
-    parity_m = r.get_u8();
-    if (parity_k < 1 || parity_m < 1 || parity_k + parity_m > 255)
-      throw FormatError("bad parity geometry");
-    const std::uint64_t groups = (frame_count + parity_k - 1) / parity_k;
-    if (groups > r.remaining() / 8)
-      throw FormatError("bad parity geometry");
-    shard_sizes.resize(groups);
-    parity_crcs.resize(groups * parity_m);
-    for (std::uint64_t g = 0; g < groups; ++g) {
-      shard_sizes[g] = r.get_u64();
-      if (shard_sizes[g] > (1ULL << 40))
-        throw FormatError("implausible parity shard");
-      // Archive data: the running total must not wrap 64 bits, or the
-      // parity-vs-container bound below checks a wrapped sum.
-      const std::uint64_t group_bytes = parity_m * shard_sizes[g];
-      if (group_bytes > UINT64_MAX - parity_bytes)
-        throw FormatError("parity exceeds the container");
-      parity_bytes += group_bytes;
-      for (std::uint64_t j = 0; j < parity_m; ++j)
-        parity_crcs[g * parity_m + j] = r.get_u32();
-    }
-  }
-  walk_header(r, bytes, version, rep);
-
-  const std::size_t frames_begin = r.position();
-  const std::uint64_t tail = bytes.size() - frames_begin;
-  if (parity_bytes > tail)
-    throw FormatError("parity exceeds the container");
-  const std::uint64_t frame_area = tail - parity_bytes;
-  std::uint64_t expected = 0;
-  for (std::uint64_t f = 0; f < frame_count; ++f) {
-    if (offsets[f] != expected)
-      throw FormatError("non-contiguous frame table");
-    if (sizes[f] > frame_area - expected)
-      throw FormatError("frame exceeds the container");
-    expected += sizes[f];
-
-    SectionStatus s;
-    s.name = "frame[" + std::to_string(f) + "]";
-    s.offset = frames_begin + offsets[f];
-    s.size = sizes[f];
-    const auto frame =
-        bytes.subspan(static_cast<std::size_t>(s.offset),
-                      static_cast<std::size_t>(s.size));
-    if (version >= kFormatVersion) {
-      const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
+    s.stored_crc = e.stored_crc;
+    s.computed_crc = computed;
+    s.crc_ok = s.stored_crc == s.computed_crc;
+    if (count) {
       obs::count(obs::Counter::kCrcChecks);
-      s.has_crc = true;
-      s.stored_crc = crcs[f];
-      s.computed_crc = crc32c(frame);
-      s.crc_ok = s.computed_crc == s.stored_crc;
-      if (!s.crc_ok) {
-        obs::count(obs::Counter::kCrcFailures);
-        rep.problems.push_back(s.name + " checksum mismatch");
-      }
+      if (!s.crc_ok) obs::count(obs::Counter::kCrcFailures);
     }
-    rep.sections.push_back(s);
-
-    // Each frame is a self-contained DPZ archive; verify its structure
-    // too so a v1 container (no CRCs) still gets a meaningful check.
-    const VerifyReport inner = verify_archive(frame);
-    if (!inner.ok)
-      rep.problems.push_back(
-          s.name + ": " +
-          (inner.problems.empty() ? "malformed frame"
-                                  : inner.problems.front()));
   }
-  if (expected != frame_area)
-    throw FormatError("frame area size mismatch");
+  rep.sections.push_back(s);
+  return s.crc_ok;
+}
 
+// Rows for a parsed header and its compressed sections: everything the
+// parser located, even when it threw before the end. A header mismatch
+// is the parser's own seal error, already in the problem list and
+// already counted by read_header_seal.
+void add_rows(VerifyReport& rep, const SectionExtent& header,
+              const std::vector<SectionExtent>& sections) {
+  const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
+  if (header.size == 0) return;  // the parse stopped before the seal
+  add_row(rep, "header", header, crc32c(header.blob), /*count=*/false);
+  for (const SectionExtent& s : sections)
+    if (!add_row(rep, s.name, s, detail::section_crc(s.raw_size, s.blob)))
+      rep.problems.push_back("section '" + std::string(s.name) +
+                             "' checksum mismatch");
+}
+
+// Frame and parity-shard rows of a parsed container. Each frame is a
+// self-contained DPZ archive, so its own structure is verified too — a v1
+// container (no CRCs) still gets a meaningful check.
+void add_container_rows(VerifyReport& rep,
+                        std::span<const std::uint8_t> bytes,
+                        const detail::ContainerHeader& h) {
+  const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
+  for (std::size_t f = 0; f < h.frame_count; ++f) {
+    const std::string name = "frame[" + std::to_string(f) + "]";
+    const auto frame = h.frame(bytes, f);
+    SectionExtent e;
+    e.offset = h.frames_begin + h.frame_offsets[f];
+    e.size = frame.size();
+    if (!h.frame_crcs.empty()) e.stored_crc = h.frame_crcs[f];
+    if (!add_row(rep, name, e, crc32c(frame)))
+      rep.problems.push_back(name + " checksum mismatch");
+    const VerifyReport inner = verify_archive(frame);
+    if (!inner.ok) rep.problems.push_back(name + ": " + inner.problems.front());
+  }
   // Parity shards follow the frames; each carries a header-sealed CRC,
   // so a damaged shard is reported without touching any frame.
-  std::uint64_t parity_off = frames_begin + frame_area;
-  for (std::size_t g = 0; g < shard_sizes.size(); ++g) {
-    for (std::uint64_t j = 0; j < parity_m; ++j) {
-      SectionStatus s;
-      s.name = "parity[" + std::to_string(g) + "." + std::to_string(j) +
-               "]";
-      s.offset = parity_off;
-      s.size = shard_sizes[g];
-      const auto shard =
-          bytes.subspan(static_cast<std::size_t>(s.offset),
-                        static_cast<std::size_t>(s.size));
-      const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-      obs::count(obs::Counter::kCrcChecks);
-      s.has_crc = true;
-      s.stored_crc = parity_crcs[g * parity_m + j];
-      s.computed_crc = crc32c(shard);
-      s.crc_ok = s.computed_crc == s.stored_crc;
-      if (!s.crc_ok) {
-        obs::count(obs::Counter::kCrcFailures);
-        rep.problems.push_back(s.name + " checksum mismatch");
-      }
-      rep.sections.push_back(s);
-      parity_off += shard_sizes[g];
+  for (std::size_t g = 0; g < h.groups(); ++g) {
+    for (std::size_t j = 0; j < h.parity_m; ++j) {
+      const auto shard = h.parity_shard(bytes, g, j);
+      SectionExtent e;
+      e.offset = h.parity_begin + h.parity_offsets[g] + j * shard.size();
+      e.size = shard.size();
+      e.stored_crc = h.parity_crcs[g * h.parity_m + j];
+      const std::string name =
+          "parity[" + std::to_string(g) + "." + std::to_string(j) + "]";
+      if (!add_row(rep, name, e, crc32c(shard)))
+        rep.problems.push_back(name + " checksum mismatch");
     }
   }
 }
 
-void walk_basis(ByteReader& r, std::span<const std::uint8_t> bytes,
-                bool v2, VerifyReport& rep) {
-  rep.kind = "shared-basis";
-  std::uint8_t version = kFormatVersionLegacy;
-  if (v2) {
-    version = r.get_u8();
-    if (version != kFormatVersion) throw FormatError("unsupported version");
+// Runs `parse`, turning a throw into a report problem; true on success.
+template <typename Parse>
+bool parsed(VerifyReport& rep, Parse&& parse) {
+  try {
+    parse();
+    return true;
+  } catch (const Error& e) {
+    rep.problems.push_back(e.what());
+    return false;
   }
-  rep.version = version;
-  r.get_u8();   // wide codes
-  r.get_f64();  // error bound
-  walk_shape(r);
-  r.get_u64();  // m
-  r.get_u64();  // n
-  r.get_u64();  // original total
-  r.get_u32();  // k
-  walk_header(r, bytes, version, rep);
-  walk_section(r, version, "basis", rep);
-  require_consumed(r, rep);
-}
-
-void walk_snapshot(ByteReader& r, std::span<const std::uint8_t> bytes,
-                   bool v2, VerifyReport& rep) {
-  rep.kind = "snapshot";
-  std::uint8_t version = kFormatVersionLegacy;
-  if (v2) {
-    version = r.get_u8();
-    if (version != kFormatVersion) throw FormatError("unsupported version");
-  }
-  rep.version = version;
-  r.get_f64();  // score scale
-  r.get_u64();  // outlier count
-  walk_header(r, bytes, version, rep);
-  walk_section(r, version, "mean", rep);
-  walk_section(r, version, "codes", rep);
-  walk_section(r, version, "outliers", rep);
-  require_consumed(r, rep);
 }
 
 }  // namespace
 
-VerifyReport verify_archive(std::span<const std::uint8_t> bytes) {
+VerifyReport detail::verify_archive(std::span<const std::uint8_t> bytes,
+                                    InspectFacts* facts) {
   VerifyReport rep;
   rep.kind = "unknown";
-  try {
-    ByteReader r(bytes);
-    const std::uint32_t magic = r.get_u32();
-    switch (magic) {
-      case detail::kDpzMagic:
-        walk_dpz(r, bytes, rep);
-        break;
-      case detail::kChunkedMagicV1:
-      case detail::kChunkedMagicV2:
-      case detail::kChunkedMagicV3:
-        walk_chunked(r, bytes, magic, rep);
-        break;
-      case detail::kBasisMagicV1:
-      case detail::kBasisMagicV2:
-        walk_basis(r, bytes, magic == detail::kBasisMagicV2, rep);
-        break;
-      case detail::kSnapshotMagicV1:
-      case detail::kSnapshotMagicV2:
-        walk_snapshot(r, bytes, magic == detail::kSnapshotMagicV2, rep);
-        break;
-      default:
-        throw FormatError("not a recognized DPZ container");
+  switch (archive_magic(bytes)) {
+    case kDpzMagic: {
+      DpzLayout l;
+      const bool ok = parsed(rep, [&] { parse_dpz(bytes, l); });
+      rep.kind = l.info.stored_raw ? "stored" : "dpz";
+      rep.version = l.info.version;
+      add_rows(rep, l.header, l.sections);
+      if (ok && facts != nullptr) {
+        facts->dpz = l.info;
+        facts->preflight = dpz_decode_preflight(l.info);
+      }
+      break;
     }
-  } catch (const Error& e) {
-    rep.problems.push_back(e.what());
+    case kChunkedMagicV1:
+    case kChunkedMagicV2:
+    case kChunkedMagicV3: {
+      ContainerHeader h;
+      const bool ok = parsed(rep, [&] { parse_container(bytes, h); });
+      rep.kind = "chunked";
+      rep.version = h.version;
+      add_rows(rep, h.header, {});
+      if (!ok) break;
+      add_container_rows(rep, bytes, h);
+      if (facts != nullptr) {
+        facts->parity = parity_info(h);
+        // A frame too malformed to price is already a problem above.
+        try {
+          facts->preflight = container_preflight(bytes, h);
+        } catch (const Error&) {
+        }
+      }
+      break;
+    }
+    case kBasisMagicV1:
+    case kBasisMagicV2: {
+      BasisLayout l;
+      parsed(rep, [&] { parse_basis(bytes, l); });
+      rep.kind = "shared-basis";
+      rep.version = l.version;
+      add_rows(rep, l.header, l.sections);
+      break;
+    }
+    case kSnapshotMagicV1:
+    case kSnapshotMagicV2: {
+      SnapshotLayout l;
+      parsed(rep, [&] { parse_snapshot(bytes, l); });
+      rep.kind = "snapshot";
+      rep.version = l.version;
+      add_rows(rep, l.header, l.sections);
+      break;
+    }
+    default:
+      rep.problems.emplace_back("not a recognized DPZ container");
   }
   rep.ok = rep.problems.empty();
   return rep;
 }
 
+VerifyReport verify_archive(std::span<const std::uint8_t> bytes) {
+  return detail::verify_archive(bytes, nullptr);
+}
+
 std::optional<DecodePreflight> decode_preflight(
     std::span<const std::uint8_t> bytes) {
   try {
-    ByteReader r(bytes);
-    switch (r.get_u32()) {
+    switch (detail::archive_magic(bytes)) {
       case detail::kDpzMagic:
         return dpz_decode_preflight(dpz_inspect(bytes));
       case detail::kChunkedMagicV1:

@@ -1,6 +1,7 @@
-// Archive integrity verification: a structural walk over any DPZ
-// container (monolithic, stored-raw, chunked, shared-basis blob or
-// snapshot) that checks framing and — for format v2 — every CRC32C,
+// Archive integrity verification for any DPZ container (monolithic,
+// stored-raw, chunked, shared-basis blob or snapshot): the container
+// magic picks the format's own header parser — the one its decoder runs
+// — and, for format v2, every CRC32C of the units it located is checked,
 // without inflating a single payload byte.
 //
 // This is the read-only side of the v2 integrity layer: `dpz verify`
@@ -44,10 +45,13 @@ struct VerifyReport {
   std::vector<std::string> problems;
 };
 
-/// Walks `bytes` and reports its integrity. Never throws: malformed or
-/// truncated input produces ok == false with the failure described in
-/// `problems`, and the sections walked up to that point are retained.
-/// Chunked containers additionally verify each frame's own structure.
+/// Reports the integrity of `bytes`. ok means the archive passes every
+/// header, layout and checksum check its decoder makes (payload content
+/// is checked only by decode). Never throws: malformed or truncated input
+/// produces ok == false with the failure described in `problems`, and the
+/// units located before the failing check are retained — a header-seal
+/// mismatch ends the walk at the `header` row. Chunked containers
+/// additionally verify each frame's own structure.
 VerifyReport verify_archive(std::span<const std::uint8_t> bytes);
 
 /// Pre-flight resource estimate for decoding `bytes`, dispatched on the

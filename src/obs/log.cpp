@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -52,8 +51,9 @@ void put_json_string(std::ostream& out, const char* text) {
 }
 
 void copy_truncated(char* dst, std::size_t cap, std::string_view src) {
-  const std::size_t n = std::min(cap - 1, src.size());
-  std::memcpy(dst, src.data(), n);
+  // string_view::copy, not memcpy: an empty view may have a null data()
+  // pointer, which memcpy must not receive even for zero bytes.
+  const std::size_t n = src.copy(dst, cap - 1);
   dst[n] = '\0';
 }
 

@@ -9,6 +9,7 @@
 #include <new>
 #include <optional>
 
+#include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/dpz.h"
 #include "core/chunked.h"
@@ -386,12 +387,11 @@ int cmd_decompress(const CliArgs& args, std::ostream& out) {
 
   const std::vector<std::uint8_t> archive = read_bytes(in_path);
 
-  // Chunked containers carry their own magic ("DZCK" v1, "DZC2" v2,
-  // "DZC3" with parity); route them directly.
-  const bool is_chunked =
-      archive.size() >= 4 && archive[0] == 0x44 && archive[1] == 0x5A &&
-      archive[2] == 0x43 &&
-      (archive[3] == 0x4B || archive[3] == 0x32 || archive[3] == 0x33);
+  // Chunked containers carry their own magic; route them directly.
+  const std::uint32_t magic = detail::archive_magic(archive);
+  const bool is_chunked = magic == detail::kChunkedMagicV1 ||
+                          magic == detail::kChunkedMagicV2 ||
+                          magic == detail::kChunkedMagicV3;
   if (is_chunked) {
     ChunkedConfig config;
     config.threads = threads;
@@ -576,52 +576,47 @@ int cmd_repair(const CliArgs& args, std::ostream& out) {
 int cmd_inspect(const CliArgs& args, std::ostream& out) {
   DPZ_REQUIRE(args.positional().size() == 2, "inspect needs <archive>");
   const std::vector<std::uint8_t> bytes = read_bytes(args.positional()[1]);
-  const VerifyReport rep = verify_archive(bytes);
+  // One parse: the verify walk hands back the header facts it parsed.
+  detail::InspectFacts facts;
+  const VerifyReport rep = detail::verify_archive(bytes, &facts);
 
   out << "kind:     " << rep.kind << "\n"
       << "format:   v" << rep.version << "\n"
       << "bytes:    " << bytes.size() << "\n";
-  if (rep.kind == "dpz" || rep.kind == "stored") {
-    // The header parsed (verify walked it), so dpz_inspect's richer
-    // geometry view is available too.
-    const DpzArchiveInfo info = dpz_inspect(bytes);
-    out << "dtype:    " << (info.double_precision ? "f64" : "f32") << "\n";
+  if (const std::optional<DpzArchiveInfo>& info = facts.dpz) {
+    out << "dtype:    " << (info->double_precision ? "f64" : "f32") << "\n";
     out << "shape:    ";
-    for (std::size_t d = 0; d < info.shape.size(); ++d)
-      out << (d ? " x " : "") << info.shape[d];
+    for (std::size_t d = 0; d < info->shape.size(); ++d)
+      out << (d ? " x " : "") << info->shape[d];
     out << "\n";
-    if (!info.stored_raw)
-      out << "blocks:   " << info.layout.m << " x " << info.layout.n
-          << (info.layout.padded ? " (padded)" : "") << "\n"
-          << "k:        " << info.k << "\n"
-          << "outliers: " << info.outlier_count << "\n";
+    if (!info->stored_raw)
+      out << "blocks:   " << info->layout.m << " x " << info->layout.n
+          << (info->layout.padded ? " (padded)" : "") << "\n"
+          << "k:        " << info->k << "\n"
+          << "outliers: " << info->outlier_count << "\n";
   }
   // Header-claimed decode cost: what the archive says it will expand to
   // and the pre-flight working-set estimate a --max-memory budget admits
   // against. Printed from header metadata only — nothing is inflated —
   // so operators can size budgets without attempting the decode.
-  if (const std::optional<DecodePreflight> pf = decode_preflight(bytes)) {
+  if (const std::optional<DecodePreflight>& pf = facts.preflight) {
     out << "decoded:  " << human_bytes(pf->decoded_bytes)
         << " (header claim)\n"
         << "peak est: " << human_bytes(pf->peak_bytes)
         << " (pre-flight decode working set)\n";
   }
-  if (rep.kind == "chunked") {
-    // A corrupt header makes the geometry unreadable; the problems list
-    // below already explains why, so the line is simply omitted.
-    try {
-      const ParityInfo parity = chunked_parity_info(bytes);
-      if (parity.enabled())
-        out << "parity:   " << parity.parity_k << "+" << parity.parity_m
-            << " (" << parity.groups
-            << (parity.groups == 1 ? " group, " : " groups, ")
-            << human_bytes(parity.parity_bytes) << "; any "
-            << parity.parity_m
-            << " lost frames per group are recoverable)\n";
-      else
-        out << "parity:   none\n";
-    } catch (const Error&) {
-    }
+  // A corrupt container header leaves no geometry; the problems list
+  // below already explains why, so the line is simply omitted.
+  if (const std::optional<ParityInfo>& parity = facts.parity) {
+    if (parity->enabled())
+      out << "parity:   " << parity->parity_k << "+" << parity->parity_m
+          << " (" << parity->groups
+          << (parity->groups == 1 ? " group, " : " groups, ")
+          << human_bytes(parity->parity_bytes) << "; any "
+          << parity->parity_m
+          << " lost frames per group are recoverable)\n";
+    else
+      out << "parity:   none\n";
   }
   out << "sections:\n";
   print_section_table(rep, out);

@@ -377,6 +377,53 @@ TEST(FuzzDecode, VerifyArchiveNeverThrows) {
   }
 }
 
+TEST(FuzzDecode, VerifyRejectionImpliesDecodeRejection) {
+  // verify_archive runs each format's own header parser and then checks
+  // every checksum the strict decoder checks, so a report that is not ok
+  // must mean the decoder rejects the bytes too. DZC3 is left out: its
+  // strict decode rebuilds damaged frames from parity after verify has
+  // (correctly) flagged them, so the implication does not hold there.
+  struct Target {
+    std::vector<std::uint8_t> archive;
+    std::function<void(std::span<const std::uint8_t>)> decode;
+  };
+  ChunkedConfig config;
+  config.chunk_values = 4096;
+  const SharedBasisCodec codec =
+      SharedBasisCodec::train(wave({64, 64}, 40), DpzConfig::strict());
+  const std::vector<Target> targets = {
+      {dpz_compress(wave({64, 96}, 41), DpzConfig::strict()),
+       [](std::span<const std::uint8_t> b) { (void)dpz_decompress(b); }},
+      {chunked_compress(wave({3 * 4096 + 100}, 42), config),
+       [](std::span<const std::uint8_t> b) { (void)chunked_decompress(b); }},
+      {codec.serialize(),
+       [](std::span<const std::uint8_t> b) {
+         (void)SharedBasisCodec::deserialize(b);
+       }},
+      {codec.compress(wave({64, 64}, 43)),
+       [&codec](std::span<const std::uint8_t> b) {
+         (void)codec.decompress(b);
+       }},
+  };
+
+  std::uint64_t seed = 126;
+  for (const Target& t : targets) {
+    ASSERT_TRUE(verify_archive(t.archive).ok);
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < kMutationsPerShape; ++i) {
+      ArchiveMutator mutator(seed * 1000003ULL + i);
+      const std::vector<std::uint8_t> mutated = mutator.mutate(t.archive);
+      if (verify_archive(mutated).ok) continue;
+      ++rejected;
+      EXPECT_THROW(t.decode(mutated), Error)
+          << "seed " << seed << " mutation " << i << " ("
+          << mutator.trace() << ")";
+    }
+    EXPECT_GT(rejected, kMutationsPerShape / 20) << "seed " << seed;
+    ++seed;
+  }
+}
+
 // Truncation sweep over the committed golden fixtures (both the frozen v1
 // generation and the current v2 one): cut every archive at each section
 // boundary and one byte either side, then require a clean dpz::Error from

@@ -8,9 +8,11 @@
 // one validation check fails one named row.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +20,8 @@
 #include "capi/dpz_c.h"
 #include "core/chunked.h"
 #include "core/dpz.h"
+#include "core/shared_basis.h"
+#include "core/verify.h"
 #include "util/crc32c.h"
 #include "util/error.h"
 #include "util/mutator.h"
@@ -407,6 +411,32 @@ TEST(CorruptChunkedContainer, ParityGeometryTableDriven) {
   });
 }
 
+// An unsealed (v1, "DZCK") header of about 40 bytes whose frame count
+// agrees with its geometry — 2^33 values in 8-value frames, 2^30 frames —
+// but whose frame table would need 16 GiB. The parser must reject the
+// count against the remaining input before sizing any table: verify
+// reports it without throwing, decode throws FormatError.
+TEST(CorruptChunkedContainer, ForgedFrameCountRejectedBeforeTables) {
+  std::vector<std::uint8_t> b;
+  auto put_u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (const char c : {'D', 'Z', 'C', 'K'})
+    b.push_back(static_cast<std::uint8_t>(c));
+  b.push_back(1);                    // rank
+  put_u64(std::uint64_t{1} << 33);   // dim0
+  put_u64(8);                        // chunk_values
+  put_u64(std::uint64_t{1} << 30);   // frame_count = dim0 / chunk_values
+  b.resize(b.size() + 16, 0);        // one frame-table entry's worth
+
+  VerifyReport rep;
+  ASSERT_NO_THROW(rep = verify_archive(b));
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(decode_preflight(b), std::nullopt);
+  EXPECT_THROW((void)chunked_decompress(b), FormatError);
+}
+
 // A forged DZC3 header whose per-group parity sizes sum to 2^64 + 252:
 // the accumulator wraps to 252, which fits the trailing 252 bytes this
 // forgery appends, so every post-wrap bound check passes and shard reads
@@ -569,6 +599,134 @@ TEST(CorruptArchiveCApi, StatusCodesAndMessages) {
   EXPECT_EQ(std::string(dpz_status_name(DPZ_ERR_INVALID_ARGUMENT)),
             "invalid_argument");
   EXPECT_EQ(std::string(dpz_status_name(DPZ_OK)), "ok");
+}
+
+// Shared-basis blob (DZB2, rank-2) header: magic u32 @0, version u8 @4,
+// wide-codes u8 @5, error bound f64 @6, rank u8 @14, dims 2*u64 @15,
+// m @31, n @39, original_total @47, k u32 @55, header CRC32C @59.
+// Snapshot (DZS2): magic @0, version @4, score scale f64 @5, outlier
+// count u64 @13, header CRC32C @21.
+constexpr std::size_t kOffErrorBound = 6;
+constexpr std::size_t kBasisOffK = 55;
+constexpr std::size_t kBasisOffHeaderCrc = 59;
+constexpr std::size_t kSnapOffScoreScale = 5;
+constexpr std::size_t kSnapOffHeaderCrc = 21;
+constexpr std::size_t kChkOffChunkValues = 14;
+
+void reseal_at(std::vector<std::uint8_t>& bytes, std::size_t crc_off) {
+  write_u32_at(bytes, crc_off, crc32c(std::span(bytes.data(), crc_off)));
+}
+
+void write_f64_at(std::vector<std::uint8_t>& bytes, std::size_t offset,
+                  double v) {
+  write_u64_at(bytes, offset, std::bit_cast<std::uint64_t>(v));
+}
+
+// verify, inspect, preflight and decode run one header parser per format,
+// so they must agree: each resealed forgery (the header CRC is valid, the
+// fields are not) and each archive with bytes after its last section is
+// rejected by the decoder AND reported !ok by verify_archive, and for DPZ
+// and chunked archives has no pre-flight price; DPZ ones fail inspection.
+TEST(CorruptArchiveParsers, VerifyInspectPreflightAndDecodeAgree) {
+  const std::vector<std::uint8_t> dpz =
+      dpz_compress(wave({64, 96}, 7), DpzConfig::strict());
+  ASSERT_EQ(dpz[kOffFlags] & 0x04, 0) << "unexpected stored-raw";
+  ChunkedConfig chunk_config;
+  chunk_config.chunk_values = 4096;
+  const std::vector<std::uint8_t> chunked =
+      chunked_compress(wave({2 * 4096}, 8), chunk_config);
+  const SharedBasisCodec codec =
+      SharedBasisCodec::train(wave({64, 64}, 9), DpzConfig::strict());
+  const std::vector<std::uint8_t> blob = codec.serialize();
+  const std::vector<std::uint8_t> snapshot = codec.compress(wave({64, 64}, 10));
+
+  enum class Kind { kDpz, kChunked, kBasis, kSnapshot };
+  struct Case {
+    const char* name;
+    Kind kind;
+    std::function<void(std::vector<std::uint8_t>&)> forge;
+  };
+  const auto append5 = [](std::vector<std::uint8_t>& b) {
+    b.insert(b.end(), {1, 2, 3, 4, 5});
+  };
+  const std::vector<Case> cases = {
+      {"dpz-k-exceeds-m", Kind::kDpz,
+       [](auto& b) {
+         write_u32_at(b, kOffK,
+                      static_cast<std::uint32_t>(read_u64_at(b, kOffM)) + 5);
+         reseal_dpz_header(b);
+       }},
+      {"dpz-dim-disagrees-with-total", Kind::kDpz,
+       [](auto& b) {
+         write_u64_at(b, kOffDim0, read_u64_at(b, kOffDim0) + 1);
+         reseal_dpz_header(b);
+       }},
+      {"dpz-negative-error-bound", Kind::kDpz,
+       [](auto& b) {
+         write_f64_at(b, kOffErrorBound, -1.0);
+         reseal_dpz_header(b);
+       }},
+      {"dpz-outlier-count-2^60", Kind::kDpz,
+       [](auto& b) {
+         write_u64_at(b, kOffOutliers, std::uint64_t{1} << 60);
+         reseal_dpz_header(b);
+       }},
+      {"dzc2-chunk-values-doubled", Kind::kChunked,
+       [](auto& b) {
+         write_u64_at(b, kChkOffChunkValues, 8192);
+         reseal_chunked_header(b);
+       }},
+      {"dzb2-negative-error-bound", Kind::kBasis,
+       [](auto& b) {
+         write_f64_at(b, kOffErrorBound, -1.0);
+         reseal_at(b, kBasisOffHeaderCrc);
+       }},
+      {"dzb2-k-exceeds-m", Kind::kBasis,
+       [](auto& b) {
+         write_u32_at(b, kBasisOffK, 1000);
+         reseal_at(b, kBasisOffHeaderCrc);
+       }},
+      {"dzs2-negative-score-scale", Kind::kSnapshot,
+       [](auto& b) {
+         write_f64_at(b, kSnapOffScoreScale, -2.0);
+         reseal_at(b, kSnapOffHeaderCrc);
+       }},
+      {"dpz-trailing-bytes", Kind::kDpz, append5},
+      {"dzb2-trailing-bytes", Kind::kBasis, append5},
+      {"dzs2-trailing-bytes", Kind::kSnapshot, append5},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<std::uint8_t>& valid =
+        c.kind == Kind::kDpz       ? dpz
+        : c.kind == Kind::kChunked ? chunked
+        : c.kind == Kind::kBasis   ? blob
+                                   : snapshot;
+    ASSERT_TRUE(verify_archive(valid).ok);
+    std::vector<std::uint8_t> bytes = valid;
+    c.forge(bytes);
+
+    switch (c.kind) {
+      case Kind::kDpz:
+        EXPECT_THROW((void)dpz_decompress(bytes), FormatError);
+        EXPECT_THROW((void)dpz_inspect(bytes), FormatError);
+        break;
+      case Kind::kChunked:
+        EXPECT_THROW((void)chunked_decompress(bytes), FormatError);
+        break;
+      case Kind::kBasis:
+        EXPECT_THROW((void)SharedBasisCodec::deserialize(bytes), FormatError);
+        break;
+      case Kind::kSnapshot:
+        EXPECT_THROW((void)codec.decompress(bytes), FormatError);
+        break;
+    }
+    EXPECT_FALSE(verify_archive(bytes).ok);
+    if (c.kind == Kind::kDpz || c.kind == Kind::kChunked) {
+      EXPECT_EQ(decode_preflight(bytes), std::nullopt);
+    }
+  }
 }
 
 }  // namespace

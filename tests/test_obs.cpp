@@ -136,13 +136,16 @@ TEST(ObsMetrics, SnapshotAndResetAreRaceFreeUnderEightThreads) {
 
 TEST(ObsTrace, CompressDecodeEmitsValidChromeTraceWithPoolSpans) {
   const obs::ScopedTelemetry telemetry(true);
+  // The dataset is built before the recorder is cleared: its spectral
+  // synthesis runs parallel_for, and on a multi-core host those
+  // pool_task spans would land before t0.
+  const Dataset ds = make_dataset("Isotropic", 0.05, 2021);
   obs::TraceRecorder::instance().clear();
 
   // 3-D f32 input through a 4-participant pool: stage spans, decode
   // spans, and pool_task spans with queue-wait attribution must all
   // appear even on a single-core host (explicit thread counts always
   // spawn workers).
-  const Dataset ds = make_dataset("Isotropic", 0.05, 2021);
   DpzConfig config = DpzConfig::strict();
   config.threads = 4;
   const std::uint64_t t0 = obs::TraceRecorder::now_ns();
