@@ -108,6 +108,32 @@ BENCHMARK(BM_KernelDot)
     ->Arg(static_cast<int>(simd::Isa::kAvx2))
     ->Arg(static_cast<int>(simd::Isa::kNeon));
 
+void BM_KernelDot2x4(benchmark::State& state) {
+  const auto isa = static_cast<simd::Isa>(state.range(0));
+  if (!isa_ready(state, isa)) return;
+  const std::size_t n = 1620;  // one snapshot covariance row
+  std::vector<double> rows(6 * n);
+  Rng rng(12);
+  for (double& v : rows) v = rng.normal();
+  const double* x[2] = {rows.data(), rows.data() + n};
+  const double* y[4] = {rows.data() + 2 * n, rows.data() + 3 * n,
+                        rows.data() + 4 * n, rows.data() + 5 * n};
+  const simd::KernelTable& ops = simd::kernel_table(isa);
+  double out[8];
+  for (auto _ : state) {
+    ops.dot_2x4(x, y, n, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(simd::isa_name(isa));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(6 * n * sizeof(double)));
+}
+BENCHMARK(BM_KernelDot2x4)
+    ->Arg(static_cast<int>(simd::Isa::kScalar))
+    ->Arg(static_cast<int>(simd::Isa::kAvx2))
+    ->Arg(static_cast<int>(simd::Isa::kNeon));
+
 void BM_KernelAxpy(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   if (!isa_ready(state, isa)) return;

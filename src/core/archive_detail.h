@@ -167,6 +167,17 @@ struct DpzLayout {
   std::vector<SectionExtent> sections;
 };
 void parse_dpz(std::span<const std::uint8_t> archive, DpzLayout& out);
+/// dpz_decompress / dpz_decompress_f64 on an archive parse_dpz already
+/// located, for callers that parsed it first (the chunked pre-pass, the
+/// CLI): the header is not parsed again. The archive bytes the layout's
+/// extents view must outlive the call.
+FloatArray decode_dpz(const DpzLayout& parsed,
+                      std::size_t max_components = 0, unsigned threads = 0,
+                      const ResourceLimits& limits = {});
+DoubleArray decode_dpz_f64(const DpzLayout& parsed,
+                           std::size_t max_components = 0,
+                           unsigned threads = 0,
+                           const ResourceLimits& limits = {});
 
 /// Chunked container (DZCK/DZC2/DZC3), parsed in chunked.cpp.
 struct ContainerHeader {

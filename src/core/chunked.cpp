@@ -318,13 +318,14 @@ NdArray<T> decompress_strict(std::span<const std::uint8_t> container,
   // the claims must exactly tile the container's shape *before* any frame
   // is decoded. This bounds transient memory by h.total — a forged
   // container cannot make us decode an arbitrary sum of frames and only
-  // find out afterwards that they exceed the claimed shape.
+  // find out afterwards that they exceed the claimed shape. The decode
+  // below runs from these parses instead of parsing each header again.
+  std::vector<detail::DpzLayout> parsed(h.frame_count);
   std::size_t claimed = 0;
   for (std::size_t f = 0; f < h.frame_count; ++f) {
     const auto frame = frame_view(container, h, plan, f);
-    DpzArchiveInfo info;
     try {
-      info = dpz_inspect(frame);
+      detail::parse_dpz(frame, parsed[f]);
     } catch (const FormatError&) {
       // A frame that fails to parse reports as the checksum failure it
       // is when its bytes are damaged, not as whatever they tear into.
@@ -332,7 +333,7 @@ NdArray<T> decompress_strict(std::span<const std::uint8_t> container,
       throw;
     }
     std::size_t count = 1;
-    for (const std::size_t d : info.shape) count *= d;
+    for (const std::size_t d : parsed[f].info.shape) count *= d;
     if (count > h.total - claimed)
       throw FormatError("chunked container: frames exceed the shape");
     claimed += count;
@@ -353,9 +354,9 @@ NdArray<T> decompress_strict(std::span<const std::uint8_t> container,
   parallel_for(0, h.frame_count, [&](std::size_t f) {
     const obs::ScopedSpan frame_span(obs::Span::kFrameDecode);
     try {
-      const auto frame = frame_view(container, h, plan, f);
-      if (!prescanned) check_frame_crc(frame, h, f);
-      chunks[f] = dpz_decompress(frame);
+      if (!prescanned)
+        check_frame_crc(frame_view(container, h, plan, f), h, f);
+      chunks[f] = detail::decode_dpz(parsed[f]);
       obs::count(obs::Counter::kFramesDecoded);
     } catch (...) {
       errors[f] = std::current_exception();

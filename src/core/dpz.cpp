@@ -506,8 +506,11 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   return archive;
 }
 
+// Decodes `archive`, or the layout parse_dpz already located in it when
+// `preparsed` is set (the parse is then not repeated).
 template <typename T>
 NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
+                           const detail::DpzLayout* preparsed,
                            std::size_t max_components, unsigned threads,
                            const ResourceLimits& limits) {
   const ScopedThreads pool_scope(threads);
@@ -517,8 +520,12 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   const GovernorScope governor_scope(limits);
   governed_poll();
   obs::count(obs::Counter::kDecompressCalls);
-  detail::DpzLayout parsed;
-  detail::parse_dpz(archive, parsed);
+  detail::DpzLayout own;
+  if (preparsed == nullptr) {
+    detail::parse_dpz(archive, own);
+    preparsed = &own;
+  }
+  const detail::DpzLayout& parsed = *preparsed;
   const DpzArchiveInfo& info = parsed.info;
   const auto version = static_cast<std::uint8_t>(info.version);
   if (info.double_precision != (sizeof(T) == 8))
@@ -669,13 +676,30 @@ std::vector<std::uint8_t> dpz_compress(const DoubleArray& data,
 FloatArray dpz_decompress(std::span<const std::uint8_t> archive,
                           std::size_t max_components, unsigned threads,
                           const ResourceLimits& limits) {
-  return decompress_impl<float>(archive, max_components, threads, limits);
+  return decompress_impl<float>(archive, nullptr, max_components, threads,
+                                limits);
 }
 
 DoubleArray dpz_decompress_f64(std::span<const std::uint8_t> archive,
                                std::size_t max_components, unsigned threads,
                                const ResourceLimits& limits) {
-  return decompress_impl<double>(archive, max_components, threads, limits);
+  return decompress_impl<double>(archive, nullptr, max_components, threads,
+                                 limits);
+}
+
+FloatArray detail::decode_dpz(const DpzLayout& parsed,
+                              std::size_t max_components, unsigned threads,
+                              const ResourceLimits& limits) {
+  return decompress_impl<float>({}, &parsed, max_components, threads,
+                                limits);
+}
+
+DoubleArray detail::decode_dpz_f64(const DpzLayout& parsed,
+                                   std::size_t max_components,
+                                   unsigned threads,
+                                   const ResourceLimits& limits) {
+  return decompress_impl<double>({}, &parsed, max_components, threads,
+                                 limits);
 }
 
 DecodePreflight dpz_decode_preflight(const DpzArchiveInfo& info) {

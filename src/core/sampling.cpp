@@ -94,7 +94,13 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
     const std::size_t lo = subset * base;
     const std::size_t hi = (subset + 1 == s) ? m : lo + base;
     const Matrix sub = slice_rows(dct_blocks, lo, hi);
-    const PcaModel model = fit_pca(sub, report.low_linearity);
+    // k selection reads only the spectrum; the basis is solved only when
+    // the calibration pass projects onto it. Both fits run the same QL
+    // d/e recurrence, so the eigenvalues are bit-identical either way.
+    const PcaModel model =
+        config.calibrate_factors
+            ? fit_pca(sub, report.low_linearity)
+            : fit_pca_spectrum(sub, report.low_linearity).model;
     std::size_t k;
     if (config.use_knee) {
       k = detect_knee(model.tve_curve(), config.knee_fit).k;

@@ -8,6 +8,7 @@
 
 #include "simd/simd.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 
@@ -319,13 +320,12 @@ void fill_start_vector(std::size_t j, unsigned attempt,
 }  // namespace
 
 SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
+                               std::span<const double> values,
                                std::size_t k) {
   const std::size_t m = r.diag.size();
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
+  DPZ_REQUIRE(values.size() >= k, "eigen_topk_from needs k eigenvalues");
   const simd::KernelTable& ops = simd::kernels();
-
-  std::vector<double> values = eigen_values_from(r);
-  values.resize(k);
 
   double anorm = 0.0;
   for (std::size_t i = 0; i < m; ++i)
@@ -376,22 +376,31 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
 
   // Back-transform through the Householder reflectors (x = Q y with
   // Q = P_{m-1} ... P_1, exactly the product accumulate_q_transposed
-  // forms): i ascending, each reflector applied to every vector while
-  // its v/h row is hot.
-  std::vector<double> w2(m);
-  for (std::size_t i = 1; i < m; ++i) {
-    if (r.norm2[i] == 0.0) continue;
-    const double* v = r.reflectors.row(i).data();
-    for (std::size_t t = 0; t < i; ++t) w2[t] = v[t] / r.norm2[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      double* row_j = yt.row(j).data();
-      const double g = ops.dot(v, row_j, i);
-      ops.axpy(-g, w2.data(), row_j, i);
+  // forms): i ascending, each reflector applied to every vector of a
+  // group while its v/h row is hot. The vectors are independent, so one
+  // group per participant runs them in parallel; each vector still sees
+  // the reflectors in ascending order, so the result is bit-identical
+  // at any thread count.
+  const std::size_t groups =
+      std::min<std::size_t>(PoolScope::current().thread_count(), k);
+  parallel_for(0, groups, [&](std::size_t g) {
+    const std::size_t j0 = g * k / groups;
+    const std::size_t j1 = (g + 1) * k / groups;
+    std::vector<double> w2(m);
+    for (std::size_t i = 1; i < m; ++i) {
+      if (r.norm2[i] == 0.0) continue;
+      const double* v = r.reflectors.row(i).data();
+      for (std::size_t t = 0; t < i; ++t) w2[t] = v[t] / r.norm2[i];
+      for (std::size_t j = j0; j < j1; ++j) {
+        double* row_j = yt.row(j).data();
+        const double gj = ops.dot(v, row_j, i);
+        ops.axpy(-gj, w2.data(), row_j, i);
+      }
     }
-  }
+  });
 
   SymmetricEigen out;
-  out.values = std::move(values);
+  out.values.assign(values.begin(), values.begin() + k);
   out.vectors = Matrix(m, k);
   for (std::size_t j = 0; j < k; ++j)
     for (std::size_t i = 0; i < m; ++i) out.vectors(i, j) = yt(j, i);

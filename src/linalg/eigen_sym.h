@@ -12,6 +12,7 @@
 // component explains the most variance) with matching eigenvector columns.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -51,17 +52,22 @@ std::vector<double> eigen_values_from(const TridiagonalReduction& r);
 /// shared with a preceding eigen_values_from call.
 SymmetricEigen eigen_sym_from(const TridiagonalReduction& r);
 
-/// The k leading eigenpairs of a reduced matrix: values from the QL
-/// recurrence, vectors by inverse iteration on the tridiagonal (each a
-/// handful of O(M) band solves) followed by one Householder
-/// back-transform per vector. Deterministic — fixed start vectors,
-/// fixed iteration counts — and O(M^2 k) total, which beats both the
+/// The k leading eigenpairs of a reduced matrix. `values` holds at least
+/// the first k entries of eigen_values_from(r), unclamped: they are the
+/// inverse-iteration shifts and the returned values, so the caller's
+/// spectrum is reused instead of running the QL recurrence again. Vectors come from inverse
+/// iteration on the tridiagonal (each a handful of O(M) band solves)
+/// followed by one Householder back-transform per vector, the vectors
+/// split across the active pool. Deterministic — fixed start vectors,
+/// fixed iteration counts, every vector sees the reflectors in the same
+/// order at any thread count — and O(M^2 k) total, which beats both the
 /// dense accumulation (O(M^3)) and subspace iteration on the original
 /// matrix (O(M^2 b) PER SWEEP) whenever the reduction is already paid
 /// for. Vectors are re-orthonormalized, so clustered eigenvalues yield
 /// an orthonormal basis of the cluster's eigenspace rather than k
 /// copies of one direction.
 SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
+                               std::span<const double> values,
                                std::size_t k);
 
 /// Householder + implicit-shift QL. `a` must be symmetric (only the lower

@@ -1,6 +1,9 @@
 #include "linalg/pca.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "linalg/eigen_sym.h"
 #include "linalg/subspace_iteration.h"
@@ -8,6 +11,18 @@
 #include "util/thread_pool.h"
 
 namespace dpz {
+
+namespace {
+
+// Left-to-right row sum over n: every fit's feature mean. Rows are
+// independent, so callers compute them inside their parallel row loop.
+double row_mean(std::span<const double> row) {
+  double sum = 0.0;
+  for (const double v : row) sum += v;
+  return sum / static_cast<double>(row.size());
+}
+
+}  // namespace
 
 std::vector<double> PcaModel::tve_curve() const {
   const std::size_t m = eigenvalues.size();
@@ -87,14 +102,6 @@ Matrix covariance(const Matrix& x) {
   DPZ_REQUIRE(n >= 1, "covariance needs at least one sample");
   const simd::KernelTable& ops = simd::kernels();
 
-  std::vector<double> mean(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = x.row(i).data();
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) sum += row[c];
-    mean[i] = sum / static_cast<double>(n);
-  }
-
   // Center once up front so the O(m^2 n) pair loop runs plain dots
   // instead of re-subtracting the means per element. (x - mu) * 1.0 is
   // exact for every double, and dot and dot_centered share the same
@@ -102,29 +109,53 @@ Matrix covariance(const Matrix& x) {
   // form.
   Matrix centered(m, n);
   parallel_for(0, m, [&](std::size_t i) {
-    ops.center_scale(x.row(i).data(), mean[i], 1.0, centered.row(i).data(),
-                     n);
+    ops.center_scale(x.row(i).data(), row_mean(x.row(i)), 1.0,
+                     centered.row(i).data(), n);
   });
 
-  // Blocks of four i-rows share each streamed j-row: the first dot pulls
-  // it out of L2, the next three hit L1. Every (i, j) dot is the same
-  // call in either order, so the entries are bit-identical to the
-  // row-at-a-time loop.
-  constexpr std::size_t kRowBlock = 4;
+  // The upper triangle as square tiles (ti <= tj), each filled by 2 x 4
+  // dot blocks whose rows a tile pair keeps hot in L2. Every entry
+  // (i <= j) is still ops.dot(row i, row j) / n, and i <= j is stored to
+  // both halves, so the result is bit-identical to the row-at-a-time loop
+  // whatever the schedule. Tiles are dealt round-robin to one group per
+  // participant: a contiguous split of the triangle would hand the wide
+  // top rows to the first participant.
+  constexpr std::size_t kTile = 32;
+  const std::size_t tiles = (m + kTile - 1) / kTile;
+  const std::size_t groups = std::min<std::size_t>(
+      PoolScope::current().thread_count(), tiles * (tiles + 1) / 2);
+
   Matrix cov(m, m);
-  parallel_for(0, (m + kRowBlock - 1) / kRowBlock, [&](std::size_t bi) {
-    const std::size_t i0 = bi * kRowBlock;
-    const std::size_t i1 = std::min(m, i0 + kRowBlock);
-    for (std::size_t j = i0; j < m; ++j) {
-      const double* cj = centered.row(j).data();
-      for (std::size_t i = i0; i < i1 && i <= j; ++i)
-        cov(i, j) = ops.dot(centered.row(i).data(), cj, n) /
-                    static_cast<double>(n);
+  const auto fill_tile = [&](std::size_t ti, std::size_t tj) {
+    const std::size_t i_end = std::min(m, (ti + 1) * kTile);
+    const std::size_t j_end = std::min(m, (tj + 1) * kTile);
+    // Past a tile's last row the block repeats that row; the extra
+    // results are discarded.
+    const auto row = [&](std::size_t r, std::size_t end) {
+      return centered.row(std::min(r, end - 1)).data();
+    };
+    double out[8];
+    for (std::size_t i = ti * kTile; i < i_end; i += 2) {
+      const double* xs[2] = {row(i, i_end), row(i + 1, i_end)};
+      for (std::size_t j = tj * kTile; j < j_end; j += 4) {
+        if (j + 3 < i) continue;  // block wholly below the diagonal
+        const double* ys[4] = {row(j, j_end), row(j + 1, j_end),
+                               row(j + 2, j_end), row(j + 3, j_end)};
+        ops.dot_2x4(xs, ys, n, out);
+        for (std::size_t r = 0; r < 2 && i + r < i_end; ++r)
+          for (std::size_t c = 0; c < 4 && j + c < j_end; ++c)
+            if (i + r <= j + c)
+              cov(i + r, j + c) = cov(j + c, i + r) =
+                  out[4 * r + c] / static_cast<double>(n);
+      }
     }
+  };
+  parallel_for(0, groups, [&](std::size_t g) {
+    std::size_t pair = 0;
+    for (std::size_t ti = 0; ti < tiles; ++ti)
+      for (std::size_t tj = ti; tj < tiles; ++tj)
+        if (pair++ % groups == g) fill_tile(ti, tj);
   });
-  // Mirror the upper triangle (disjoint writes above, so safe afterwards).
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < i; ++j) cov(i, j) = cov(j, i);
   return cov;
 }
 
@@ -140,26 +171,17 @@ Matrix prepare_centered(const Matrix& x, bool standardize, PcaModel& model) {
 
   model.mean.resize(m);
   model.scale.assign(m, 1.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = x.row(i).data();
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) sum += row[c];
-    model.mean[i] = sum / static_cast<double>(n);
-  }
-
   Matrix centered(m, n);
-  if (standardize) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const double mu = model.mean[i];
+  parallel_for(0, m, [&](std::size_t i) {
+    const double* row = x.row(i).data();
+    const double mu = model.mean[i] = row_mean(x.row(i));
+    if (standardize) {
       const double var =
-          ops.dot_centered(x.row(i).data(), mu, x.row(i).data(), mu, n) /
-          static_cast<double>(n);
+          ops.dot_centered(row, mu, row, mu, n) / static_cast<double>(n);
       if (var > 0.0) model.scale[i] = std::sqrt(var);
     }
-  }
-  parallel_for(0, m, [&](std::size_t i) {
-    ops.center_scale(x.row(i).data(), model.mean[i], 1.0 / model.scale[i],
-                     centered.row(i).data(), n);
+    ops.center_scale(row, mu, 1.0 / model.scale[i], centered.row(i).data(),
+                     n);
   });
   return centered;
 }
@@ -230,7 +252,15 @@ PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k) {
         model.components(i, j) = eig.vectors(i, j);
     return model;
   }
-  SymmetricEigen eig = eigen_topk_from(spec.tridiag, k);
+  // The shifts are the spectrum's leading k values, which fit_pca_spectrum
+  // already solved. Clamping leaves a positive value exact, so only a k
+  // that reaches the clamped tail (beyond the numerical rank, or constant
+  // data) re-solves the values to recover the residue the clamp hid.
+  const std::vector<double>& values = model.eigenvalues;
+  SymmetricEigen eig =
+      values.size() >= k && values[k - 1] > 0.0
+          ? eigen_topk_from(spec.tridiag, values, k)
+          : eigen_topk_from(spec.tridiag, eigen_values_from(spec.tridiag), k);
   model.components = std::move(eig.vectors);
   return model;
 }

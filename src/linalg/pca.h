@@ -77,10 +77,11 @@ struct PcaSpectrum {
 /// Phase one: center/standardize, covariance, full eigenvalue spectrum.
 PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize = false);
 
-/// Phase two: attaches the k leading eigenvectors (subspace iteration on
-/// the cached covariance; dense fallback for small problems) to the
-/// spectrum's model. The model keeps the full eigenvalue list, so
-/// tve_curve()/k_for_tve() remain exact on the result.
+/// Phase two: attaches the k leading eigenvectors (inverse iteration on
+/// the cached reduction, shifted by the spectrum's own values; dense
+/// accumulation for small problems) to the spectrum's model. The model
+/// keeps the full eigenvalue list, so tve_curve()/k_for_tve() remain
+/// exact on the result.
 PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k);
 
 /// Covariance matrix of X's rows: C = (Xc Xc^T)/N with Xc row-centered

@@ -13,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "simd/scalar_ops.h"
@@ -84,6 +85,53 @@ double dot_centered_avx2(const double* x, double mx, const double* y,
   }
   return detail::dot_centered_tail(reduce_lanes(acc0, acc1, acc2, acc3), x,
                                    mx, y, my, n16, n);
+}
+
+// Eight dots at four accumulators each would need 32 YMM registers, so
+// the 2 x 4 block walks the sixteen lanes in four passes, one
+// accumulator per dot: pass q carries lanes 4q..4q+3 of all eight dots
+// (8 accumulators + 6 row loads fit the 16 registers). A lane still adds
+// its terms l, l+16, ... in ascending order, so each result is dot's.
+// The passes re-read the same six rows; running them over one chunk of
+// columns at a time keeps those rows in L1 instead of re-streaming them
+// from L2 four times.
+void dot_2x4_avx2(const double* const* x, const double* const* y,
+                  std::size_t n, double* out) {
+  constexpr std::size_t kChunk = 512;  // 6 rows x 4 KiB: well inside L1
+  const std::size_t n16 = n & ~std::size_t{15};
+  __m256d acc[4][8];  // [pass][dot], dot = 4 * r + c
+  for (auto& pass : acc)
+    for (__m256d& a : pass) a = _mm256_setzero_pd();
+  for (std::size_t c0 = 0; c0 < n16; c0 += kChunk) {
+    const std::size_t c1 = std::min(n16, c0 + kChunk);
+    for (std::size_t q = 0; q < 4; ++q) {
+      __m256d a0 = acc[q][0], a1 = acc[q][1], a2 = acc[q][2],
+              a3 = acc[q][3], a4 = acc[q][4], a5 = acc[q][5],
+              a6 = acc[q][6], a7 = acc[q][7];
+      for (std::size_t i = c0 + 4 * q; i < c1; i += 16) {
+        const __m256d x0 = _mm256_loadu_pd(x[0] + i);
+        const __m256d x1 = _mm256_loadu_pd(x[1] + i);
+        __m256d yc = _mm256_loadu_pd(y[0] + i);
+        a0 = _mm256_add_pd(a0, _mm256_mul_pd(x0, yc));
+        a4 = _mm256_add_pd(a4, _mm256_mul_pd(x1, yc));
+        yc = _mm256_loadu_pd(y[1] + i);
+        a1 = _mm256_add_pd(a1, _mm256_mul_pd(x0, yc));
+        a5 = _mm256_add_pd(a5, _mm256_mul_pd(x1, yc));
+        yc = _mm256_loadu_pd(y[2] + i);
+        a2 = _mm256_add_pd(a2, _mm256_mul_pd(x0, yc));
+        a6 = _mm256_add_pd(a6, _mm256_mul_pd(x1, yc));
+        yc = _mm256_loadu_pd(y[3] + i);
+        a3 = _mm256_add_pd(a3, _mm256_mul_pd(x0, yc));
+        a7 = _mm256_add_pd(a7, _mm256_mul_pd(x1, yc));
+      }
+      acc[q][0] = a0, acc[q][1] = a1, acc[q][2] = a2, acc[q][3] = a3;
+      acc[q][4] = a4, acc[q][5] = a5, acc[q][6] = a6, acc[q][7] = a7;
+    }
+  }
+  for (std::size_t d = 0; d < 8; ++d)
+    out[d] = detail::dot_tail(
+        reduce_lanes(acc[0][d], acc[1][d], acc[2][d], acc[3][d]), x[d / 4],
+        y[d % 4], n16, n);
 }
 
 void axpy_avx2(double a, const double* x, double* y, std::size_t n) {
@@ -354,6 +402,7 @@ const KernelTable* avx2_table() {
   static constexpr KernelTable kTable = {
       dot_avx2,
       dot_centered_avx2,
+      dot_2x4_avx2,
       axpy_avx2,
       rank2_avx2,
       accum_centered_avx2,

@@ -58,6 +58,15 @@ double dot_centered_neon(const double* x, double mx, const double* y,
                                    n16, n);
 }
 
+// Eight plain dot calls: a register-blocked NEON version has not been
+// verified on aarch64 hardware yet, and this one matches by construction.
+void dot_2x4_neon(const double* const* x, const double* const* y,
+                  std::size_t n, double* out) {
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      out[4 * r + c] = dot_neon(x[r], y[c], n);
+}
+
 void axpy_neon(double a, const double* x, double* y, std::size_t n) {
   const std::size_t n2 = n & ~std::size_t{1};
   const float64x2_t va = vdupq_n_f64(a);
@@ -213,6 +222,7 @@ const KernelTable* neon_table() {
   static constexpr KernelTable kTable = {
       dot_neon,
       dot_centered_neon,
+      dot_2x4_neon,
       axpy_neon,
       rank2_neon,
       accum_centered_neon,

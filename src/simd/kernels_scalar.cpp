@@ -37,6 +37,13 @@ double dot_centered_scalar(const double* x, double mx, const double* y,
   return detail::dot_centered_tail(combine_lanes(s), x, mx, y, my, n16, n);
 }
 
+void dot_2x4_scalar(const double* const* x, const double* const* y,
+                    std::size_t n, double* out) {
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      out[4 * r + c] = dot_scalar(x[r], y[c], n);
+}
+
 void axpy_scalar(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) detail::axpy_one(a, x[i], &y[i]);
 }
@@ -121,6 +128,7 @@ const KernelTable& scalar_table() {
   static constexpr KernelTable kTable = {
       dot_scalar,
       dot_centered_scalar,
+      dot_2x4_scalar,
       axpy_scalar,
       rank2_scalar,
       accum_centered_scalar,

@@ -14,15 +14,15 @@
 //  * Elementwise kernels perform the documented operation order per
 //    element (multiply then add, never fused) so lanes round exactly like
 //    the scalar loop; kernel TUs build with -ffp-contract=off.
-//  * Reduction kernels (dot, dot_centered) use a fixed sixteen-lane
-//    decomposition regardless of ISA (wide enough to hide the add
-//    latency of four AVX2 accumulators): lane l in [0, 16) accumulates
-//    terms l, l+16, l+32, ... serially; the lanes fold to four partials
-//    a_l = (s_l + s_{l+8}) + (s_{l+4} + s_{l+12}) for l in [0, 4), those
-//    combine as (a0 + a2) + (a1 + a3), and the remaining tail terms are
-//    folded in serially afterwards. The scalar reference implements this
-//    same tree, so the reduction order is a property of the kernel
-//    contract, not of the CPU the archive was written on.
+//  * Reduction kernels (dot, dot_centered, each dot_2x4 result) use a
+//    fixed sixteen-lane decomposition regardless of ISA (wide enough to
+//    hide the add latency of four AVX2 accumulators): lane l in [0, 16)
+//    accumulates terms l, l+16, l+32, ... serially; the lanes fold to
+//    four partials a_l = (s_l + s_{l+8}) + (s_{l+4} + s_{l+12}) for l in
+//    [0, 4), those combine as (a0 + a2) + (a1 + a3), and the remaining
+//    tail terms are folded in serially afterwards. The scalar reference
+//    implements this same tree, so the reduction order is a property of
+//    the kernel contract, not of the CPU the archive was written on.
 //  * Complex kernels use the finite-operand product
 //    (ar*br - ai*bi, ar*bi + ai*br) with one rounding per part; callers
 //    only pass finite data (DCT/FFT intermediates).
@@ -92,9 +92,14 @@ struct KernelTable {
   // ---- reductions (fixed sixteen-lane tree, see header comment) -------
   /// sum_i x[i]*y[i]
   double (*dot)(const double* x, const double* y, std::size_t n);
-  /// sum_i (x[i]-mx)*(y[i]-my) — the covariance inner loop
+  /// sum_i (x[i]-mx)*(y[i]-my)
   double (*dot_centered)(const double* x, double mx, const double* y,
                          double my, std::size_t n);
+  /// out[4*r + c] = dot(x[r], y[c], n) for r in [0, 2), c in [0, 4) —
+  /// the register-blocked covariance tile. Each of the eight results is
+  /// bit-identical to the corresponding dot call.
+  void (*dot_2x4)(const double* const* x, const double* const* y,
+                  std::size_t n, double* out);
 
   // ---- elementwise (per-element order identical to the scalar loop) ---
   /// y[i] += a*x[i]

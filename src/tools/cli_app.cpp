@@ -425,19 +425,22 @@ int cmd_decompress(const CliArgs& args, std::ostream& out) {
     return 0;
   }
 
-  const DpzArchiveInfo info = dpz_inspect(archive);
+  // One parse picks the element type and drives the decode.
+  detail::DpzLayout parsed;
+  detail::parse_dpz(archive, parsed);
+  const DpzArchiveInfo& info = parsed.info;
   Timer timer;
   std::size_t count = 0;
   double seconds = 0.0;
   if (info.double_precision) {
     const DoubleArray data =
-        dpz_decompress_f64(archive, components, threads, limits);
+        detail::decode_dpz_f64(parsed, components, threads, limits);
     seconds = timer.elapsed();
     write_f64(out_path, data);
     count = data.size();
   } else {
     const FloatArray data =
-        dpz_decompress(archive, components, threads, limits);
+        detail::decode_dpz(parsed, components, threads, limits);
     seconds = timer.elapsed();
     write_f32(out_path, data);
     count = data.size();

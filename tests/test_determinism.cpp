@@ -42,7 +42,7 @@ namespace {
   return true;
 }();
 
-constexpr unsigned kThreadCounts[] = {1, 2, 8};
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 8};
 
 FloatArray synthetic_2d(std::size_t rows, std::size_t cols,
                         std::uint64_t seed) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/analysis.h"
+#include "core/archive_detail.h"
 #include "core/dpz.h"
 #include "data/datasets.h"
 #include "metrics/metrics.h"
@@ -423,6 +425,33 @@ TEST(DpzF64, PrecisionMismatchRejected) {
   const FloatArray fdata = smooth_2d(32, 64, 7);
   const auto farchive = dpz_compress(fdata, DpzConfig::strict());
   EXPECT_THROW(dpz_decompress_f64(farchive), FormatError);
+}
+
+// The pre-parsed decode entry points (the chunked pre-pass and the CLI
+// parse once, then decode from the parse) behave as the byte-level ones.
+template <typename T>
+bool same_bytes(const NdArray<T>& a, const NdArray<T>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(T)) == 0;
+}
+
+TEST(DpzF64, PreparsedDecodeMatchesDecompress) {
+  const auto archive = dpz_compress(smooth_2d_f64(32, 64, 8),
+                                    DpzConfig::strict());
+  detail::DpzLayout parsed;
+  detail::parse_dpz(archive, parsed);
+  EXPECT_TRUE(same_bytes(detail::decode_dpz_f64(parsed, 2),
+                         dpz_decompress_f64(archive, 2)));
+  EXPECT_THROW(detail::decode_dpz(parsed), FormatError);
+
+  const auto farchive = dpz_compress(smooth_2d(32, 64, 8),
+                                     DpzConfig::strict());
+  detail::DpzLayout fparsed;
+  detail::parse_dpz(farchive, fparsed);
+  EXPECT_TRUE(same_bytes(detail::decode_dpz(fparsed),
+                         dpz_decompress(farchive)));
+  EXPECT_THROW(detail::decode_dpz_f64(fparsed), FormatError);
 }
 
 TEST(DpzF64, StoredFallbackIsBitExact) {

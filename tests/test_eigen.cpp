@@ -205,7 +205,7 @@ TEST(EigenTopKFrom, ResidualsSmallAgainstOriginal) {
   const std::size_t k = 11;
   const Matrix a = random_spd(n, 46);
   const TridiagonalReduction r = tridiagonalize(a);
-  const SymmetricEigen topk = eigen_topk_from(r, k);
+  const SymmetricEigen topk = eigen_topk_from(r, eigen_values_from(r), k);
   ASSERT_EQ(topk.values.size(), k);
   ASSERT_EQ(topk.vectors.cols(), k);
   for (std::size_t j = 0; j < k; ++j) {
@@ -225,7 +225,7 @@ TEST(EigenTopKFrom, MatchesDenseAccumulationOnLeadingPairs) {
   const Matrix a = random_spd(90, 47);
   const TridiagonalReduction r = tridiagonalize(a);
   const SymmetricEigen full = eigen_sym_from(r);
-  const SymmetricEigen topk = eigen_topk_from(r, 7);
+  const SymmetricEigen topk = eigen_topk_from(r, eigen_values_from(r), 7);
   for (std::size_t j = 0; j < 7; ++j) {
     EXPECT_NEAR(topk.values[j], full.values[j], 1e-9 + 1e-9 * full.values[0]);
     double dot = 0.0;
@@ -254,7 +254,7 @@ TEST(EigenTopKFrom, ClusteredSpectrumStaysOrthonormal) {
       a(i, j) = sum;
     }
   const TridiagonalReduction r = tridiagonalize(a);
-  const SymmetricEigen topk = eigen_topk_from(r, 6);
+  const SymmetricEigen topk = eigen_topk_from(r, eigen_values_from(r), 6);
   ASSERT_NEAR(topk.values[0], 2.0, 1e-9);
   ASSERT_NEAR(topk.values[2], 2.0, 1e-9);
   EXPECT_LT(orthonormality_error(topk.vectors), 1e-8);

@@ -4,12 +4,17 @@
 // and the truncated fit against the dense one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "dsp/dct.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/pca.h"
+#include "simd/simd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 namespace {
@@ -25,6 +30,10 @@ Matrix low_rank_data(std::size_t m, std::size_t n, std::size_t rank,
   Matrix x = basis.multiply(weights);
   for (double& v : x.flat()) v += noise * rng.normal();
   return x;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 TEST(Covariance, MatchesHandComputed) {
@@ -44,6 +53,41 @@ TEST(Covariance, SymmetricByConstruction) {
   for (double& v : x.flat()) v = rng.normal();
   const Matrix cov = covariance(x);
   EXPECT_LT(cov.max_abs_diff(cov.transposed()), 1e-14);
+}
+
+// The tiled covariance is a schedule, not a new sum: every entry must be
+// bit-identical to ops.dot(row i, row j) / n over the centered rows for
+// any M (partial tiles, padded 2 x 4 blocks) and any thread count (even
+// and uneven round-robin deals of the tiles).
+TEST(Covariance, BitIdenticalToRowDotsAtAnyThreadCount) {
+  const simd::KernelTable& ops = simd::kernels();
+  const std::size_t n = 100;  // six sixteen-lane blocks plus a tail
+  for (const std::size_t m : {1, 2, 3, 5, 33, 65, 130}) {
+    Rng rng(m);
+    Matrix x(m, n);
+    for (double& v : x.flat()) v = 2.0 + rng.normal();
+    Matrix centered(m, n);
+    for (std::size_t i = 0; i < m; ++i) {
+      double sum = 0.0;
+      for (const double v : x.row(i)) sum += v;
+      ops.center_scale(x.row(i).data(), sum / static_cast<double>(n), 1.0,
+                       centered.row(i).data(), n);
+    }
+    for (const unsigned threads : {1U, 2U, 3U, 8U}) {
+      const ScopedThreads pool(threads);
+      const Matrix cov = covariance(x);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < m; ++j) {
+          const double expect =
+              ops.dot(centered.row(std::min(i, j)).data(),
+                      centered.row(std::max(i, j)).data(), n) /
+              static_cast<double>(n);
+          if (!same_bits(cov(i, j), expect)) ++mismatches;
+        }
+      EXPECT_EQ(mismatches, 0U) << "m=" << m << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Pca, EigenvalueSumEqualsTotalVariance) {
@@ -186,6 +230,78 @@ TEST(Pca, DctDomainEigenvaluesMatchSpatialDomain) {
     EXPECT_NEAR(spatial.eigenvalues[j], dct_domain.eigenvalues[j],
                 1e-8 * std::max(1.0, spatial.eigenvalues[0]))
         << "eigenvalue " << j;
+}
+
+// ---- Spectrum-first fit --------------------------------------------------
+
+// The values-only QL recurrence is the full solve's d/e recurrence without
+// the rotations, so the spectrum fit (Algorithm-2 sampling's k selection)
+// must report the full fit's eigenvalues bit for bit.
+TEST(PcaSpectrum, EigenvaluesBitIdenticalToFullFit) {
+  Matrix x = low_rank_data(70, 300, 9, 21, 1e-3);
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (double& v : x.row(i)) v *= 1.0 + static_cast<double>(i % 7);
+  for (const bool standardize : {false, true}) {
+    const PcaModel full = fit_pca(x, standardize);
+    const PcaSpectrum spec = fit_pca_spectrum(x, standardize);
+    ASSERT_EQ(spec.model.eigenvalues.size(), full.eigenvalues.size());
+    for (std::size_t i = 0; i < full.eigenvalues.size(); ++i)
+      EXPECT_TRUE(same_bits(spec.model.eigenvalues[i], full.eigenvalues[i]))
+          << "standardize=" << standardize << " eigenvalue " << i;
+  }
+}
+
+// attach_top_components takes its inverse-iteration shifts from the
+// spectrum fit_pca_spectrum already solved and clamped. The basis must be
+// bit-identical to a solve from freshly computed, unclamped values — on
+// a fitted full-rank field, and on a rank-3 covariance whose null space
+// came out as tiny negative eigenvalues, where k reaches into the values
+// the clamp zeroed and their negative residue is the shift.
+TEST(PcaSpectrum, AttachMatchesFreshlySolvedShifts) {
+  const std::size_t m = 100;
+  Rng rng(31);
+  Matrix sym(m, m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j <= i; ++j) sym(i, j) = sym(j, i) = rng.normal();
+  const Matrix basis = eigen_sym(sym).vectors;
+  Matrix rank3(m, m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j) {
+      double sum = 0.0;
+      for (std::size_t c = 0; c < m; ++c) {
+        const double d = c < 3 ? 4.0 / static_cast<double>(c + 1)
+                               : -1e-12 * static_cast<double>(c);
+        sum += basis(i, c) * d * basis(j, c);
+      }
+      rank3(i, j) = sum;
+    }
+  PcaSpectrum clamped;
+  clamped.cov = rank3;
+  clamped.tridiag = tridiagonalize(rank3);
+  clamped.model.eigenvalues = eigen_values_from(clamped.tridiag);
+  for (double& v : clamped.model.eigenvalues) v = std::max(v, 0.0);
+
+  struct Case {
+    PcaSpectrum spec;
+    std::size_t k;
+    bool clamp_applies;
+  };
+  Case cases[] = {{fit_pca_spectrum(low_rank_data(m, 400, m, 32)), 20, false},
+                  {std::move(clamped), 10, true}};
+  for (Case& c : cases) {
+    const std::vector<double> fresh = eigen_values_from(c.spec.tridiag);
+    ASSERT_EQ(fresh[c.k - 1] < 0.0, c.clamp_applies) << "k=" << c.k;
+    const SymmetricEigen expect =
+        eigen_topk_from(c.spec.tridiag, fresh, c.k);
+    const PcaModel model = attach_top_components(std::move(c.spec), c.k);
+    ASSERT_EQ(model.components.rows(), expect.vectors.rows());
+    ASSERT_EQ(model.components.cols(), expect.vectors.cols());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < model.components.flat().size(); ++i)
+      if (!same_bits(model.components.flat()[i], expect.vectors.flat()[i]))
+        ++mismatches;
+    EXPECT_EQ(mismatches, 0U) << "k=" << c.k;
+  }
 }
 
 // ---- Truncated fit -------------------------------------------------------

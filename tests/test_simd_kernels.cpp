@@ -118,6 +118,34 @@ TEST_P(SimdKernelEquivalence, ReductionsMatchScalarTree) {
   }
 }
 
+// dot_2x4 is eight dots in one register-blocked pass: every output must
+// equal the scalar reference dot bit for bit. N covers every sixteen-lane
+// tail below and above one block plus the AVX2 column-chunk boundaries;
+// the second block aliases rows the way the covariance tiles do (on the
+// diagonal and when a tile's last row is repeated).
+TEST_P(SimdKernelEquivalence, Dot2x4MatchesEightDots) {
+  Rng rng(8);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n < 48; ++n) sizes.push_back(n);
+  for (const std::size_t n : {511, 512, 513, 1040, 1620}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    std::vector<Views> rows;
+    rows.reserve(6);
+    for (std::size_t r = 0; r < 6; ++r)
+      rows.emplace_back(random_buffer(rng, n), (n + r) % kMaxOffset);
+    const double* x[2] = {rows[0].p, rows[1].p};
+    const double* distinct[4] = {rows[2].p, rows[3].p, rows[4].p, rows[5].p};
+    const double* aliased[4] = {rows[0].p, rows[1].p, rows[5].p, rows[5].p};
+    for (const double* const* y : {distinct, aliased}) {
+      double out[8];
+      isa_.dot_2x4(x, y, n, out);
+      for (std::size_t d = 0; d < 8; ++d)
+        EXPECT_TRUE(same_bits(out[d], ref_.dot(x[d / 4], y[d % 4], n)))
+            << "dot_2x4 n=" << n << " entry " << d;
+    }
+  }
+}
+
 // The documented reduction contract, written out naively: lane l sums
 // terms l, l+16, ...; lanes fold to a_l = (s_l+s_{l+8})+(s_{l+4}+s_{l+12})
 // and combine (a0+a2)+(a1+a3); tail appended serially. The scalar table
